@@ -250,6 +250,7 @@ def symmetry_report(
 TABLE1_PRIMORIAL_COUNT = 5
 TABLE2_REQUIREMENTS = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 TABLE3_REQUIREMENTS = ((1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3))
+TABLE_FAMILIES = ("pair-reduced", "triple-full")  # presets behind Tables 2 and 3
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,7 @@ def reproduce_tables(
         Table1Row(n, value, pair_constant_closed_form(n))
         for n, value in primorial_pattern_table(TABLE1_PRIMORIAL_COUNT, prime_limit)
     ]
-    presets = family_presets()
+    pair_family, triple_family = (family_presets()[name] for name in TABLE_FAMILIES)
 
     def correction_rows(family: PatternFamily, req_sets) -> tuple[CorrectionRow, ...]:
         rows = []
@@ -305,6 +306,6 @@ def reproduce_tables(
 
     return TablesReport(
         pair_constants=tuple(rows1),
-        pair_corrections=correction_rows(presets["pair-reduced"], TABLE2_REQUIREMENTS),
-        triple_corrections=correction_rows(presets["triple-full"], TABLE3_REQUIREMENTS),
+        pair_corrections=correction_rows(pair_family, TABLE2_REQUIREMENTS),
+        triple_corrections=correction_rows(triple_family, TABLE3_REQUIREMENTS),
     )

@@ -16,8 +16,10 @@ import time
 from pathlib import Path
 
 from .calibration import (
+    TABLE_FAMILIES,
     PatternFamily,
     calibrate,
+    family_presets,
     reproduce_tables,
 )
 from .census import CensusQuery, count_tuples
@@ -264,7 +266,11 @@ def _cmd_calibrate(args) -> int:
 def _cmd_tables(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table = _require_table(args, args.x + 48)  # largest offset across families
+    presets = family_presets()
+    margin = max(
+        member.offsets[-1] for name in TABLE_FAMILIES for member in presets[name].members
+    )
+    table = _require_table(args, args.x + margin)
     report = reproduce_tables(table, args.x, prime_limit=args.prime_limit, workers=args.workers)
 
     def write_csv(name: str, header: list[str], rows: list[list]) -> Path:

@@ -1,21 +1,48 @@
 """Tables of Omega(n), the number of prime factors counted with multiplicity.
 
-The table is built by a segmented sieve: every base prime power q = p^j
-contributes +1 to each of its multiples inside the segment, which credits
-each n with exactly the multiplicity of p. A parallel cofactor array tracks
-the part of n not yet factored; whatever remains above 1 after all base
-primes is a single prime larger than sqrt(limit) and contributes one more
-factor. One byte per value keeps a 10^9-entry table around 1 GB.
+The table is built by a segmented sieve over odd n only. Every odd base
+prime power q = p^j <= limit credits each odd multiple of q in the segment
+with one factor of p, which gives each n exactly the multiplicity of p, and
+with w_p = round(7 log2 p) log units. One packed uint16 add per prime power
+does both: the factor lands in the high byte, the log units in the low byte
+(an accumulator acc(n) that never carries, see below). Whatever the base
+primes leave unfactored is a single prime above sqrt(limit); instead of
+dividing it out, n gets its last factor when acc(n) falls well short of
+7 log2 n. Even entries come afterwards from Omega(2m) = Omega(m) + 1. One
+byte per value keeps a 10^9-entry table around 1 GB.
+
+Why the threshold is exact. Let r = isqrt(limit), so every n <= limit is
+below (r + 1)^2 and has at most one prime factor P > r. Write
+n = s * P^e, e in {0, 1}, s built from primes <= r, and R = log2(r + 1).
+For odd n, Omega(n) <= log3 n. Each weight is off by at most 1/2 unit, so
+|acc(n) - 7 log2 s| <= Omega(s)/2. The target T(n) = floor(7 log2 n) is
+exact (n^7 >= 2^k decides it in integers), so 7 log2 n - 1 < T(n) <= 7 log2 n.
+With D = T(n) - acc(n):
+
+- e = 0: D <= Omega(n)/2 <= log3(n)/2 < log3(r + 1) = 0.631 R;
+- e = 1: s = n/P < r + 1 and P >= r + 1, so
+  D > 7 log2 P - 1 - Omega(s)/2 >= 7 R - 1 - 0.316 R = 6.68 R - 1.
+
+The threshold theta = floor(3.5 R), about half of 7 log2 sqrt(limit),
+satisfies 0.631 R <= 3.5 R - 1 < theta <= 3.5 R <= 6.68 R - 1 for every
+R >= 1, so n has a leftover prime exactly when D > theta.
+
+Why the accumulator cannot overflow. For odd n,
+acc(n) <= 7 log2 n + log3(n)/2 = 7.316 log2 n, which is below 256 while
+n < 2^34 (7.316 * 34 = 248.7); the factor count in the high byte is at most
+log3 n < 22. build_omega_table rejects limits of 2^34 and above.
 
 Conventions: values[0] = values[1] = 0 (empty product).
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -51,32 +78,79 @@ class OmegaTable:
             raise ValueError("values must be a uint8 array of length limit + 1")
 
 
-def _segment_omega(
-    lo: int, hi: int, base_primes: np.ndarray, distinct: bool = False
-) -> np.ndarray:
-    """Factor counts for the half-open range [lo, hi).
+LOG_UNITS = 7  # accumulator units per bit of log2 n
+LIMIT_BOUND = 1 << 34  # limits must stay below this for the 8-bit log accumulator
 
-    Each prime power credits its multiples with +1 (multiplicity counting);
-    with distinct=True only the first power of each prime counts. Positions
-    0 and 1 (present only in the first segment) come out as garbage/zero
-    and are fixed up by the caller.
+
+def _log_units_start(k: int) -> int:
+    """Smallest n >= 1 with floor(7 log2 n) >= k, i.e. with n^7 >= 2^k."""
+    n = max(1, math.ceil(2.0 ** (k / LOG_UNITS)))
+    while n > 1 and (n - 1) ** LOG_UNITS >= 1 << k:
+        n -= 1
+    while n**LOG_UNITS < 1 << k:
+        n += 1
+    return n
+
+
+def _segment_omega(lo: int, hi: int, root: int, distinct: bool = False) -> np.ndarray:
+    """Factor counts for the odd n in [lo, hi); entry i holds n = lo + 2i + 1.
+
+    lo must be even and hi <= (root + 1)^2, so that the primes up to root
+    leave at most one prime factor of each n unfound. With distinct=True
+    only the first power of each prime adds a factor; every power still
+    adds its log units, which the leftover test needs.
     """
-    omega = np.zeros(hi - lo, dtype=np.uint8)
-    cofactor = np.arange(lo, hi, dtype=np.int64)
-    for p in base_primes:
-        p = int(p)
+    primes = primes_up_to(root)[1:]
+    weights = np.rint(LOG_UNITS * np.log2(primes)).astype(np.int64)
+    packed = np.zeros((hi - lo) // 2, dtype="<u2")
+    for p, w in zip(primes.tolist(), weights.tolist()):
+        credit = 256 + w  # one factor in the high byte, w log units in the low byte
         q = p
         while q < hi:
-            start = ((lo + q - 1) // q) * q
-            if start >= hi:
+            first = -(-lo // q) * q
+            if not first & 1:
+                first += q
+            if first >= hi:
                 break
-            if q == p or not distinct:
-                omega[start - lo :: q] += 1
-            cofactor[start - lo :: q] //= p
+            packed[(first - lo) >> 1 :: q] += credit
+            if distinct:
+                credit = w
             q *= p
-    # survivors are a single prime factor > sqrt(limit)
-    omega[cofactor > 1] += 1
+
+    low_high = packed.view(np.uint8)
+    acc = low_high[0::2]
+    omega = np.ascontiguousarray(low_high[1::2])
+    theta = int(LOG_UNITS / 2 * math.log2(root + 1))
+    # n in [start(k), start(k + 1)) share the target T(n) = k
+    k = ((lo + 1) ** LOG_UNITS).bit_length() - 1
+    begin = 0
+    while begin < len(omega):
+        end = min(len(omega), max(0, (_log_units_start(k + 1) - lo) >> 1))
+        if k > theta:
+            omega[begin:end] += acc[begin:end] < k - theta
+        begin = end
+        k += 1
     return omega
+
+
+def _fill_even(values: np.ndarray, distinct: bool) -> None:
+    """Set every even entry from its half once the odd entries are final.
+
+    Omega(2m) = Omega(m) + 1. Doubling the block [a, 2a) fills the even
+    entries of [2a, 4a), whose halves are all final by then, and writes in
+    place without a temporary. For distinct counts 2 is a new prime of 2m
+    only when m is odd.
+    """
+    half = (len(values) - 1) // 2 + 1
+    a = 1
+    while a < half:
+        b = min(2 * a, half)
+        if distinct:
+            values[2 * a : 2 * b : 2] = values[a:b]
+            values[2 * (a | 1) : 2 * b : 4] += 1
+        else:
+            np.add(values[a:b], 1, out=values[2 * a : 2 * b : 2])
+        a = b
 
 
 def build_omega_table(
@@ -90,10 +164,11 @@ def build_omega_table(
     Parameters
     ----------
     limit : int
-        Inclusive upper bound, >= 2.
+        Inclusive upper bound, 2 <= limit < 2^34 (the range in which the
+        log accumulator is proven exact, see the module docstring).
     segment_size : int
-        Numbers processed per segment; affects memory and scheduling only,
-        never the result.
+        Numbers processed per segment, rounded down to even; affects memory
+        and scheduling only, never the result.
     workers : int
         Segments are farmed out to this many processes when > 1. The
         assembled table is identical for any worker count.
@@ -104,35 +179,37 @@ def build_omega_table(
 
     Raises
     ------
+    ValueError
+        For arguments out of range, before anything is allocated.
     MemoryError
         If the table cannot be allocated; no partial table is returned.
     """
     if limit < 2:
         raise ValueError(f"need limit >= 2, got {limit}")
+    if limit >= LIMIT_BOUND:
+        raise ValueError(f"need limit < 2**34 for the log accumulator, got {limit}")
     if segment_size < 2:
         raise ValueError(f"need segment_size >= 2, got {segment_size}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
 
-    base_primes = primes_up_to(isqrt(limit))
+    root = math.isqrt(limit)
     values = np.zeros(limit + 1, dtype=np.uint8)
-    bounds = list(range(0, limit + 1, segment_size))
-    spans = [(lo, min(lo + segment_size, limit + 1)) for lo in bounds]
+    step = segment_size & ~1
+    spans = [(lo, min(lo + step, limit + 1)) for lo in range(0, limit, step)]
 
     if workers == 1 or len(spans) == 1:
         for lo, hi in spans:
-            values[lo:hi] = _segment_omega(lo, hi, base_primes, distinct)
+            values[lo + 1 : hi : 2] = _segment_omega(lo, hi, root, distinct)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_segment_omega, lo, hi, base_primes, distinct)
-                for lo, hi in spans
+                pool.submit(_segment_omega, lo, hi, root, distinct) for lo, hi in spans
             ]
             for (lo, hi), fut in zip(spans, futures):
-                values[lo:hi] = fut.result()
+                values[lo + 1 : hi : 2] = fut.result()
 
-    values[0] = 0
-    values[1] = 0
+    _fill_even(values, distinct)
     values.flags.writeable = False
     return OmegaTable(limit=limit, values=values)
 
@@ -170,15 +247,25 @@ def k_histogram(table: OmegaTable, x: int, parity: str = "all") -> np.ndarray:
 
 
 def save_table(table: OmegaTable, path: str | Path) -> None:
-    """Write the table in the binary cache format (magic, version, limit, bytes)."""
+    """Write the table in the binary cache format (magic, version, limit, bytes).
+
+    The bytes go to a uniquely named temporary file in the same directory,
+    which then replaces path, so concurrent writers never share a file and
+    readers see either the old table or the new one. The payload is written
+    straight from the array's buffer.
+    """
     path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(bytes([FORMAT_VERSION]))
-        fh.write(struct.pack("<Q", table.limit))
-        fh.write(table.values.tobytes())
-    tmp.replace(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(bytes([FORMAT_VERSION]))
+            fh.write(struct.pack("<Q", table.limit))
+            fh.write(memoryview(np.ascontiguousarray(table.values)))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_table(path: str | Path) -> OmegaTable:

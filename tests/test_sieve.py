@@ -1,5 +1,8 @@
+import hashlib
+import multiprocessing
 import random
 import struct
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -7,9 +10,11 @@ import pytest
 import aptuple as ap
 from aptuple._primes import primes_up_to, trial_division_omega
 from aptuple.sieve import (
+    DEFAULT_SEGMENT_SIZE,
     CacheCorruptionError,
     CacheFormatError,
     TableBoundError,
+    _segment_omega,
 )
 
 
@@ -63,6 +68,40 @@ def test_worker_determinism():
     assert np.array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("segment_size", [2, 3, 999, DEFAULT_SEGMENT_SIZE])
+@pytest.mark.parametrize("limit", [2, 3, 9_999, 10_000])
+def test_odd_sieve_matches_oracle(limit, segment_size, distinct):
+    table = ap.build_omega_table(limit, segment_size=segment_size, distinct=distinct)
+    expected = [trial_division_omega(n, distinct=distinct) for n in range(limit + 1)]
+    assert table.values.tolist() == expected
+
+
+def test_high_segment_near_1e9():
+    lo = 10**9 - (1 << 17)
+    hi = lo + (1 << 17)
+    root = isqrt(hi)
+    omega = _segment_omega(lo, hi, root)
+    assert omega.shape == (1 << 16,)
+    rng = random.Random(20261018)
+    for i in rng.sample(range(len(omega)), 200):
+        n = lo + 2 * i + 1
+        assert omega[i] == trial_division_omega(n), n
+
+
+@pytest.mark.parametrize(
+    "limit, distinct, digest",
+    [
+        (10**7, False, "7b765029b469010d067444bba577535a1a2675ff970ae0b3e57a040466ae9ca1"),
+        (10**6, True, "a3673d761df05c954a88f6040cc904fb4e26f67ed04b4255b5ca2a525de8a11d"),
+    ],
+)
+def test_pinned_table_hashes(limit, distinct, digest):
+    # sha256 of tables built by an independent cofactor-division sieve
+    table = ap.build_omega_table(limit, distinct=distinct)
+    assert hashlib.sha256(table.values).hexdigest() == digest
+
+
 def test_distinct_variant():
     table = ap.build_omega_table(10_000, distinct=True)
     for n in range(10_001):
@@ -80,6 +119,9 @@ def test_build_argument_errors():
         ap.build_omega_table(100, segment_size=1)
     with pytest.raises(ValueError):
         ap.build_omega_table(100, workers=0)
+    # outside the proven range of the log accumulator; rejected before allocating
+    with pytest.raises(ValueError):
+        ap.build_omega_table(2**34)
 
 
 def test_count_k_almost_examples(table_small):
@@ -125,6 +167,30 @@ def test_save_load_round_trip(tmp_path):
     path2 = tmp_path / "again.bin"
     ap.save_table(loaded, path2)
     assert path2.read_bytes() == raw
+
+
+def _save_repeatedly(path, limit, rounds, start):
+    table = ap.build_omega_table(limit)
+    start.wait(timeout=60)
+    for _ in range(rounds):
+        ap.save_table(table, path)
+
+
+def test_concurrent_saves_to_one_cache(tmp_path):
+    path = tmp_path / "omega.bin"
+    ctx = multiprocessing.get_context("spawn")
+    start = ctx.Barrier(3)
+    writers = [
+        ctx.Process(target=_save_repeatedly, args=(path, 200_000, 100, start))
+        for _ in range(3)
+    ]
+    for proc in writers:
+        proc.start()
+    for proc in writers:
+        proc.join(timeout=120)
+    assert all(not proc.is_alive() and proc.exitcode == 0 for proc in writers)
+    assert np.array_equal(ap.load_table(path).values, ap.build_omega_table(200_000).values)
+    assert [p.name for p in tmp_path.iterdir()] == ["omega.bin"]
 
 
 def test_load_rejects_bad_magic(tmp_path):
