@@ -18,12 +18,13 @@ from .calibration import (
     CalibrationReport,
     PatternFamily,
     calibrate,
+    calibrate_all,
     estimate_correction_via_ratio,
     family_presets,
     reproduce_tables,
     symmetry_report,
 )
-from .census import CensusQuery, CensusResult, count_single, count_tuples
+from .census import CensusQuery, CensusResult, count_demands, count_single, count_tuples
 from .patterns import (
     AdmissibilityVerdict,
     Pattern,

@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Sequence
 
 from ._primes import distinct_prime_factors
 from .asymptotics import loglog_power_product, predicted_tuple_count
-from .census import CensusQuery, count_tuples
+from .census import count_demands
 from .patterns import (
     Pattern,
     Requirements,
@@ -107,21 +108,21 @@ class CalibrationReport:
     rel_error_percent: float
 
 
-def calibrate(
+def calibrate_all(
     table: OmegaTable,
     family: PatternFamily,
-    requirements: Requirements,
+    requirement_list: Sequence[Requirements],
     x: int,
     prime_limit: int = 10**6,
     parity: str = "odd",
     mode: str = "exact",
     workers: int = 1,
-) -> CalibrationReport:
-    """Estimate the correction factor for the requirements over a family.
+) -> list[CalibrationReport]:
+    """Estimate the correction factor for each requirement vector over a family.
 
-    Every member is censused at the same x; the shared theoretical count
-    uses the base pattern's series value, which the members are verified
-    to share before any counting happens.
+    Every member is censused once at x for all the vectors together; the
+    shared theoretical count uses the base pattern's series value, which
+    the members are verified to share before any counting happens.
     """
     members = family.members
     if len(members) < 2:
@@ -136,36 +137,92 @@ def calibrate(
 
     # the base pattern's value, so member ordering cannot perturb the ratios
     series = selberg_constant(family.base, prime_limit).value
-    theoretical = predicted_tuple_count(series, requirements, x)
-    if theoretical < MIN_THEORETICAL_COUNT:
-        raise UnreliableSampleError(
-            f"theoretical count {theoretical:.1f} below {MIN_THEORETICAL_COUNT:.0f}"
-        )
+    theoreticals = [predicted_tuple_count(series, req, x) for req in requirement_list]
+    for theoretical in theoreticals:
+        if theoretical < MIN_THEORETICAL_COUNT:
+            raise UnreliableSampleError(
+                f"theoretical count {theoretical:.1f} below {MIN_THEORETICAL_COUNT:.0f}"
+            )
 
-    per_member = []
-    for member in members:
-        query = CensusQuery(member, requirements, x, parity=parity, mode=mode)
-        actual = count_tuples(table, query, workers=workers).count
-        if actual == 0:
-            raise UnreliableSampleError(f"census of {member} at x={x} returned zero")
-        per_member.append(
-            MemberCalibration(member, actual, theoretical, actual / theoretical)
+    counts = [
+        count_demands(table, member, requirement_list, x,
+                      parity=parity, mode=mode, workers=workers)
+        for member in members
+    ]
+    reports = []
+    for j, (requirements, theoretical) in enumerate(zip(requirement_list, theoreticals)):
+        per_member = []
+        for member, member_counts in zip(members, counts):
+            actual = member_counts[j]
+            if actual == 0:
+                raise UnreliableSampleError(f"census of {member} at x={x} returned zero")
+            per_member.append(
+                MemberCalibration(member, actual, theoretical, actual / theoretical)
+            )
+        ratios = [mc.ratio for mc in per_member]
+        mean = math.fsum(ratios) / len(ratios)
+        std_dev = math.sqrt(
+            math.fsum((r - mean) ** 2 for r in ratios) / (len(ratios) - 1)
         )
+        reports.append(
+            CalibrationReport(
+                family=family,
+                requirements=requirements,
+                x=x,
+                per_member=tuple(per_member),
+                mean=mean,
+                std_dev=std_dev,
+                rel_error_percent=100.0 * std_dev / mean,
+            )
+        )
+    return reports
 
-    ratios = [mc.ratio for mc in per_member]
-    mean = math.fsum(ratios) / len(ratios)
-    std_dev = math.sqrt(
-        math.fsum((r - mean) ** 2 for r in ratios) / (len(ratios) - 1)
+
+def calibrate(
+    table: OmegaTable,
+    family: PatternFamily,
+    requirements: Requirements,
+    x: int,
+    prime_limit: int = 10**6,
+    parity: str = "odd",
+    mode: str = "exact",
+    workers: int = 1,
+) -> CalibrationReport:
+    """Estimate the correction factor for one requirement vector over a family."""
+    return calibrate_all(
+        table, family, [requirements], x,
+        prime_limit=prime_limit, parity=parity, mode=mode, workers=workers,
+    )[0]
+
+
+def _ratio_estimates(
+    table: OmegaTable,
+    pattern: Pattern,
+    requirement_list: Sequence[Requirements],
+    x: int,
+    parity: str,
+    mode: str,
+    workers: int,
+) -> list[float]:
+    """The ratio estimator for each vector, from one scan that adds all-ones."""
+    verdict = is_admissible(pattern)
+    if not verdict.admissible:
+        raise ValueError(
+            f"pattern {pattern} is inadmissible (witness prime {verdict.witness})"
+        )
+    ones = Requirements((1,) * len(pattern))
+    *numerators, baseline = count_demands(
+        table, pattern, [*requirement_list, ones], x,
+        parity=parity, mode=mode, workers=workers,
     )
-    return CalibrationReport(
-        family=family,
-        requirements=requirements,
-        x=x,
-        per_member=tuple(per_member),
-        mean=mean,
-        std_dev=std_dev,
-        rel_error_percent=100.0 * std_dev / mean,
-    )
+    if baseline == 0:
+        raise InsufficientDataError(
+            f"no all-ones tuples for {pattern} at x={x}; ratio undefined"
+        )
+    return [
+        numerator / (baseline * loglog_power_product(requirements, x))
+        for numerator, requirements in zip(numerators, requirement_list)
+    ]
 
 
 def estimate_correction_via_ratio(
@@ -184,25 +241,9 @@ def estimate_correction_via_ratio(
     family calibrate, and systematically offset from it at finite x by the
     all-ones ratio itself (which approaches 1 only as x grows).
     """
-    verdict = is_admissible(pattern)
-    if not verdict.admissible:
-        raise ValueError(
-            f"pattern {pattern} is inadmissible (witness prime {verdict.witness})"
-        )
-    numerator = count_tuples(
-        table, CensusQuery(pattern, requirements, x, parity=parity, mode=mode),
-        workers=workers,
-    ).count
-    ones = Requirements((1,) * len(requirements))
-    baseline = count_tuples(
-        table, CensusQuery(pattern, ones, x, parity=parity, mode=mode),
-        workers=workers,
-    ).count
-    if baseline == 0:
-        raise InsufficientDataError(
-            f"no all-ones tuples for {pattern} at x={x}; ratio undefined"
-        )
-    return numerator / (baseline * loglog_power_product(requirements, x))
+    return _ratio_estimates(
+        table, pattern, [requirements], x, parity=parity, mode=mode, workers=workers
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -227,23 +268,19 @@ def symmetry_report(
     """Estimate the correction for every distinct permutation of the demands.
 
     The correction is conjectured to depend only on the multiset, so the
-    relative spread across orderings measures finite-x noise.
+    relative spread across orderings measures finite-x noise. All
+    orderings come from one scan of the pattern.
     """
-    orderings = sorted(set(permutations(requirements.demands)))
-    estimates = []
-    for ordering in orderings:
-        value = estimate_correction_via_ratio(
-            table, pattern, Requirements(ordering), x,
-            parity=parity, mode=mode, workers=workers,
-        )
-        estimates.append((Requirements(ordering), value))
-    values = [v for _, v in estimates]
+    orderings = [Requirements(o) for o in sorted(set(permutations(requirements.demands)))]
+    values = _ratio_estimates(
+        table, pattern, orderings, x, parity=parity, mode=mode, workers=workers
+    )
     if len(values) > 1:
         spread = (max(values) - min(values)) / (math.fsum(values) / len(values))
     else:
         spread = 0.0
     return SymmetryReport(
-        pattern=pattern, x=x, estimates=tuple(estimates), max_spread=spread
+        pattern=pattern, x=x, estimates=tuple(zip(orderings, values)), max_spread=spread
     )
 
 
@@ -293,16 +330,14 @@ def reproduce_tables(
     pair_family, triple_family = (family_presets()[name] for name in TABLE_FAMILIES)
 
     def correction_rows(family: PatternFamily, req_sets) -> tuple[CorrectionRow, ...]:
-        rows = []
-        for demands in req_sets:
-            report = calibrate(
-                table, family, Requirements(demands), x,
-                prime_limit=prime_limit, workers=workers,
-            )
-            rows.append(
-                CorrectionRow(report.requirements, report.mean, report.rel_error_percent)
-            )
-        return tuple(rows)
+        reports = calibrate_all(
+            table, family, [Requirements(demands) for demands in req_sets], x,
+            prime_limit=prime_limit, workers=workers,
+        )
+        return tuple(
+            CorrectionRow(report.requirements, report.mean, report.rel_error_percent)
+            for report in reports
+        )
 
     return TablesReport(
         pair_constants=tuple(rows1),

@@ -1,10 +1,15 @@
 """Exhaustive tuple censuses over a sieved factor-count table.
 
 Counts the n <= x (odd by default) for which every n + h_i carries exactly
-(or at most) its demanded number of prime factors. The scan walks the
-table in contiguous blocks, comparing one vectorized slice per tuple
-position; block partials combine by integer addition, so any scan order or
-worker count yields the same total.
+(or at most) its demanded number of prime factors. One scan serves every
+demand vector of a pattern: the range of tuple starts is cut into
+cache-sized blocks, each distinct (position, demand) test is evaluated
+once per block into a preallocated mask, and each vector ANDs its masks
+and counts. For odd n the block's odd entries (and, for odd offsets, its
+even entries) are first gathered into contiguous buffers, so every test
+reads a unit-stride slice. Nothing is allocated inside the block loop.
+Block partials combine by integer addition, so any block size or worker
+count yields the same totals.
 """
 
 from __future__ import annotations
@@ -12,13 +17,14 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .patterns import Pattern, Requirements
 from .sieve import OmegaTable, TableBoundError
 
-SCAN_BLOCK = 1 << 22
+BLOCK = 1 << 18  # tuple starts per block; of 2^15..2^19, 2^18 measured fastest
 
 
 @dataclass(frozen=True)
@@ -51,54 +57,135 @@ class CensusResult:
     elapsed: float = field(compare=False, default=0.0)
 
 
-def _count_block(values: np.ndarray, query: CensusQuery, lo: int, hi: int) -> int:
-    """Qualifying n in [lo, hi), honoring parity via a stride-2 start."""
-    if query.parity == "odd":
-        start = lo if lo % 2 == 1 else lo + 1
-        step = 2
-    else:
-        start = lo
-        step = 1
-    if start >= hi:
-        return 0
-    mask = None
-    exact = query.mode == "exact"
-    for h, k in zip(query.pattern.offsets, query.requirements.demands):
-        window = values[start + h : hi + h : step]
-        if exact:
-            cond = window == k
-        else:
-            # zero factor counts (only n = 1) are not almost primes
-            cond = (window <= k) & (window > 0)
-        mask = cond if mask is None else (mask & cond)
-    return int(np.count_nonzero(mask))
+@dataclass(frozen=True)
+class _Plan:
+    """Distinct (offset, demand) tests grouped by offset, and each vector's tests."""
+
+    groups: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    rows: tuple[tuple[int, ...], ...]
+    n_tests: int
 
 
-def count_tuples(table: OmegaTable, query: CensusQuery, workers: int = 1) -> CensusResult:
-    """Count n in [1, x] whose whole tuple satisfies the query demands.
+def _plan(pattern: Pattern, vectors: Sequence[Requirements], mode: str) -> _Plan:
+    index: dict[tuple[int, int], int] = {}
+    rows = []
+    for requirements in vectors:
+        row = []
+        for h, k in zip(pattern.offsets, requirements.demands):
+            if mode == "atmost":
+                # tested as w - 1 < k on uint8; every w >= 1 passes at k = 255
+                k = min(k, 255)
+            row.append(index.setdefault((h, k), len(index)))
+        rows.append(tuple(row))
+    by_offset: dict[int, list[tuple[int, int]]] = {}
+    for (h, k), t in index.items():
+        by_offset.setdefault(h, []).append((t, k))
+    groups = tuple((h, tuple(tests)) for h, tests in sorted(by_offset.items()))
+    return _Plan(groups=groups, rows=tuple(rows), n_tests=len(index))
 
-    The table must cover x + h_max so every tuple element is evaluated;
-    anything less raises rather than silently truncating the range.
+
+def _count_range(
+    values: np.ndarray, plan: _Plan, odd: bool, exact: bool, lo: int, hi: int
+) -> list[int]:
+    """Per-vector counts over the tuple-start indices [lo, hi).
+
+    Index s stands for n = 2s + 1 when odd, for n = s otherwise. All
+    buffers are allocated here, once, and owned by the calling thread.
     """
-    needed = query.x + query.pattern.max_offset
+    width = min(BLOCK, hi - lo)
+    masks = np.empty((plan.n_tests, width), dtype=bool)
+    acc = np.empty(width, dtype=bool)
+    shifted = np.empty(width, dtype=np.uint8)
+    # projection b holds values[2(s + i) + 1 + b]: odd n at b = 0, n + 1 at b = 1,
+    # so offset h reads projection h & 1 from index h >> 1
+    halos: dict[int, int] = {}
+    for h, _ in plan.groups if odd else ():
+        halos[h & 1] = max(halos.get(h & 1, 0), h >> 1)
+    projections = {b: np.empty(width + halo, dtype=np.uint8) for b, halo in halos.items()}
+
+    totals = [0] * len(plan.rows)
+    for start in range(lo, hi, width):
+        n = min(width, hi - start)
+        if odd:
+            for b, buf in projections.items():
+                first = 2 * start + 1 + b
+                length = n + halos[b]
+                np.copyto(buf[:length], values[first : first + 2 * length - 1 : 2])
+        for h, tests in plan.groups:
+            if odd:
+                window = projections[h & 1][h >> 1 : (h >> 1) + n]
+            else:
+                window = values[start + h : start + h + n]
+            if exact:
+                for t, k in tests:
+                    np.equal(window, k, out=masks[t, :n])
+            else:
+                # w - 1 < k  <=>  1 <= w <= k, since w = 0 wraps to 255
+                np.subtract(window, 1, out=shifted[:n])
+                for t, k in tests:
+                    np.less(shifted[:n], k, out=masks[t, :n])
+        for v, row in enumerate(plan.rows):
+            if len(row) == 1:
+                totals[v] += int(np.count_nonzero(masks[row[0], :n]))
+                continue
+            np.logical_and(masks[row[0], :n], masks[row[1], :n], out=acc[:n])
+            for t in row[2:]:
+                np.logical_and(acc[:n], masks[t, :n], out=acc[:n])
+            totals[v] += int(np.count_nonzero(acc[:n]))
+    return totals
+
+
+def count_demands(
+    table: OmegaTable,
+    pattern: Pattern,
+    demand_vectors: Sequence[Requirements],
+    x: int,
+    parity: str = "odd",
+    mode: str = "exact",
+    workers: int = 1,
+) -> tuple[int, ...]:
+    """Count n in [1, x] meeting each demand vector, all in one scan.
+
+    Returns one count per vector, in order. The table must cover
+    x + h_max so every tuple element is evaluated; anything less raises
+    rather than silently truncating the range. With workers > 1 the range
+    is split into contiguous chunks, one thread and buffer set each.
+    """
+    for requirements in demand_vectors:
+        CensusQuery(pattern, requirements, x, parity=parity, mode=mode)
+    needed = x + pattern.max_offset
     if needed > table.limit:
         raise TableBoundError(
             f"census needs table limit >= {needed}, have {table.limit}"
         )
+    if not demand_vectors:
+        return ()
+    plan = _plan(pattern, demand_vectors, mode)
+    odd = parity == "odd"
+    lo, hi = (0, (x + 1) // 2) if odd else (1, x + 1)
+
+    def count(span: tuple[int, int]) -> list[int]:
+        return _count_range(table.values, plan, odd, mode == "exact", *span)
+
+    blocks = -(-(hi - lo) // BLOCK)
+    chunks = min(workers, blocks)
+    if chunks <= 1:
+        return tuple(count((lo, hi)))
+    per_chunk = -(-blocks // chunks) * BLOCK
+    spans = [(a, min(a + per_chunk, hi)) for a in range(lo, hi, per_chunk)]
+    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+        partials = list(pool.map(count, spans))
+    return tuple(sum(column) for column in zip(*partials))
+
+
+def count_tuples(table: OmegaTable, query: CensusQuery, workers: int = 1) -> CensusResult:
+    """Count n in [1, x] whose whole tuple satisfies the query demands."""
     started = time.perf_counter()
-    spans = [
-        (lo, min(lo + SCAN_BLOCK, query.x + 1))
-        for lo in range(1, query.x + 1, SCAN_BLOCK)
-    ]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = pool.map(
-                lambda span: _count_block(table.values, query, *span), spans
-            )
-            total = sum(partials)
-    else:
-        total = sum(_count_block(table.values, query, lo, hi) for lo, hi in spans)
-    return CensusResult(query=query, count=total, elapsed=time.perf_counter() - started)
+    (count,) = count_demands(
+        table, query.pattern, [query.requirements], query.x,
+        parity=query.parity, mode=query.mode, workers=workers,
+    )
+    return CensusResult(query=query, count=count, elapsed=time.perf_counter() - started)
 
 
 def count_single(table: OmegaTable, k: int, x: int, parity: str = "odd") -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._primes import primes_up_to, distinct_prime_factors
-from .patterns import Pattern, primorial, residues_mod_p
+from .patterns import Pattern, primorial
 
 # Twin-prime constant prod_{p>2} (1 - 1/(p-1)^2), 17 digits.
 TWIN_PRIME_C2 = 0.66016181584686957
@@ -41,23 +41,83 @@ class SelbergResult:
     admissible: bool
 
 
-def _tail_bound(value: float, m: int, prime_bound: int) -> float:
-    # omitted factors are 1 + O(m^2/p^2); sum_{p>P} 1/p^2 < 1/(P log P)
+def _int_array(values) -> np.ndarray:
+    """int64 where the values fit, Python integers (object dtype) where they do not."""
+    fits = np.max(values) <= np.iinfo(np.int64).max
+    return np.asarray(values, dtype=np.int64 if fits else object)
+
+
+def _omitted_divisor_excess(pattern: Pattern, primes: np.ndarray, prime_bound: int) -> float:
+    """Bound on sum_{p > P} (m - nu_p) / (p - m) over primes dividing a distance.
+
+    An omitted prime p that divides some distance h_j - h_i has nu_p < m,
+    so its factor exceeds the generic one by (1 - nu_p/p) / (1 - m/p) =
+    1 + (m - nu_p)/(p - m): first order, not second. Since m - nu_p is at
+    most the number of distances p divides, summing 1/(p - m) over the
+    prime factors p > P of every distance bounds the log of the excess.
+    Each distance is stripped of its primes <= P; a cofactor r below
+    (P + 1)^2 is itself the one prime left, a larger one has at most
+    log(r) / log(P + 1) prime factors, each at least P + 1.
+    """
+    m = len(pattern)
+    if pattern.max_offset <= prime_bound:
+        return 0.0  # no distance has a prime factor above P
+    total = 0.0
+    for i, hi in enumerate(pattern.offsets):
+        for hj in pattern.offsets[i + 1 :]:
+            r = hj - hi
+            for p in primes[_int_array(r) % primes == 0].tolist():
+                while r % p == 0:
+                    r //= p
+            if r == 1:
+                continue
+            if r < (prime_bound + 1) ** 2:
+                total += 1.0 / (r - m)
+            else:
+                count = 0
+                power = prime_bound + 1
+                while power <= r:
+                    count += 1
+                    power *= prime_bound + 1
+                total += count / (prime_bound + 1 - m)
+    return total
+
+
+def _tail_bound(value: float, pattern: Pattern, primes: np.ndarray, prime_bound: int) -> float:
+    # generic omitted factors are 1 + O(m^2/p^2), sum_{p>P} 1/p^2 < 1/(P log P);
+    # omitted primes dividing a distance add a first-order excess on top
     if value == 0.0:
         return 0.0
     if prime_bound < 2:
         return math.inf
-    rel = math.expm1(m * m / (prime_bound * math.log(prime_bound)))
-    return abs(value) * rel
+    m = len(pattern)
+    log_rel = m * m / (prime_bound * math.log(prime_bound))
+    log_rel += _omitted_divisor_excess(pattern, primes, prime_bound)
+    return abs(value) * math.expm1(log_rel)
+
+
+def _residue_counts(pattern: Pattern, primes: np.ndarray) -> np.ndarray:
+    """nu_p for each prime: the distinct residues of the offsets mod p.
+
+    One (primes x m) residue array per chunk of primes, sorted along each
+    row, so nu_p is one plus the number of steps between neighbours.
+    """
+    offsets = _int_array(pattern.offsets)
+    nu = np.empty(len(primes), dtype=np.int64)
+    chunk = max(1, (1 << 20) // len(offsets))
+    for lo in range(0, len(primes), chunk):
+        residues = np.sort(offsets % primes[lo : lo + chunk, None], axis=1)
+        nu[lo : lo + chunk] = 1 + np.count_nonzero(np.diff(residues, axis=1), axis=1)
+    return nu
 
 
 def selberg_constant(pattern: Pattern, prime_limit: int = 10**6) -> SelbergResult:
     """Evaluate S(H) over all primes p <= prime_limit.
 
-    Primes up to max(m, h_max) get their residue count computed directly;
-    beyond that all offsets are distinct mod p and nu_p = m, which lets the
-    remaining factors be evaluated in one vectorized sweep. Accumulation
-    switches to log space for m >= 4, where factors drift far from 1.
+    Primes up to max(m, h_max) get their residue count computed directly,
+    all in one vectorized pass; beyond that all offsets are distinct mod p
+    and nu_p = m. Accumulation switches to log space for m >= 4, where
+    factors drift far from 1.
     """
     m = len(pattern)
     if prime_limit < m:
@@ -70,32 +130,22 @@ def selberg_constant(pattern: Pattern, prime_limit: int = 10**6) -> SelbergResul
         return SelbergResult(1.0, included, 0.0, admissible=True)
     direct_cutoff = max(m, pattern.max_offset)
 
-    small_factors: list[float] = []
     split = int(np.searchsorted(primes, direct_cutoff, side="right"))
-    for p in primes[:split]:
-        p = int(p)
-        _, nu = residues_mod_p(pattern, p)
-        if nu == p:
-            return SelbergResult(0.0, included, 0.0, admissible=False)
-        small_factors.append((1.0 - nu / p) * (1.0 - 1.0 / p) ** (-m))
+    nu = np.full(len(primes), m, dtype=np.int64)
+    nu[:split] = _residue_counts(pattern, primes[:split])
+    if np.any(nu[:split] == primes[:split]):
+        return SelbergResult(0.0, included, 0.0, admissible=False)
 
-    generic = primes[split:].astype(np.float64)
+    p = primes.astype(np.float64)
     if m < 4:
-        value = 1.0
-        for f in small_factors:
-            value *= f
-        if len(generic):
-            value *= float(np.prod((1.0 - m / generic) * (1.0 - 1.0 / generic) ** (-m)))
+        value = float(np.prod((1.0 - nu / p) * (1.0 - 1.0 / p) ** (-m)))
     else:
-        log_total = math.fsum(math.log(f) for f in small_factors)
-        if len(generic):
-            log_total += float(np.sum(np.log1p(-m / generic) - m * np.log1p(-1.0 / generic)))
-        value = math.exp(log_total)
+        value = math.exp(float(np.sum(np.log1p(-nu / p) - m * np.log1p(-1.0 / p))))
 
     return SelbergResult(
         value=value,
         prime_limit=included,
-        tail_bound=_tail_bound(value, m, prime_limit),
+        tail_bound=_tail_bound(value, pattern, primes, prime_limit),
         admissible=True,
     )
 

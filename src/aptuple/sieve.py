@@ -51,7 +51,9 @@ from ._primes import primes_up_to
 
 MAGIC = b"OMGA"
 FORMAT_VERSION = 1
+HEADER_SIZE = 13  # magic, version byte, little-endian uint64 limit
 DEFAULT_SEGMENT_SIZE = 1 << 22
+HISTOGRAM_CHUNK = 1 << 18
 
 
 class CacheFormatError(Exception):
@@ -232,7 +234,11 @@ def count_k_almost(table: OmegaTable, x: int, k: int, parity: str = "all") -> in
 
 
 def k_histogram(table: OmegaTable, x: int, parity: str = "all") -> np.ndarray:
-    """Counts of n in [2, x] per factor-count class; index k holds the k-class."""
+    """Counts of n in [2, x] per factor-count class; index k holds the k-class.
+
+    The table is binned one chunk at a time, because bincount widens its
+    input to intp (8 bytes an entry); memory stays O(chunk) at any x.
+    """
     if x < 2:
         raise ValueError(f"need x >= 2, got {x}")
     if x > table.limit:
@@ -243,7 +249,10 @@ def k_histogram(table: OmegaTable, x: int, parity: str = "all") -> np.ndarray:
         window = table.values[3 : x + 1 : 2]
     else:
         raise ValueError(f"parity must be 'all' or 'odd', got {parity!r}")
-    return np.bincount(window)
+    counts = np.zeros(256, dtype=np.intp)
+    for lo in range(0, len(window), HISTOGRAM_CHUNK):
+        counts += np.bincount(window[lo : lo + HISTOGRAM_CHUNK], minlength=256)
+    return counts[: np.flatnonzero(counts)[-1] + 1]
 
 
 def save_table(table: OmegaTable, path: str | Path) -> None:
@@ -269,22 +278,31 @@ def save_table(table: OmegaTable, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> OmegaTable:
-    """Read a table written by save_table; round-trips byte-for-byte."""
+    """Read a table written by save_table; round-trips byte-for-byte.
+
+    The payload size is checked against the header before anything is
+    allocated, then read straight into the table's array, so loading
+    holds one copy of the table.
+    """
     path = Path(path)
     with open(path, "rb") as fh:
-        header = fh.read(13)
-        if len(header) < 13 or header[:4] != MAGIC:
+        header = fh.read(HEADER_SIZE)
+        if len(header) < HEADER_SIZE or header[:4] != MAGIC:
             raise CacheFormatError(f"{path}: not an omega table (bad magic)")
         if header[4] != FORMAT_VERSION:
             raise CacheFormatError(
                 f"{path}: unsupported format version {header[4]}"
             )
-        (limit,) = struct.unpack("<Q", header[5:13])
-        payload = fh.read()
-    if len(payload) != limit + 1:
+        (limit,) = struct.unpack("<Q", header[5:HEADER_SIZE])
+        found = os.fstat(fh.fileno()).st_size - HEADER_SIZE
+        if found != limit + 1:
+            raise CacheCorruptionError(
+                f"{path}: declared limit {limit} needs {limit + 1} bytes, found {found}"
+            )
+        values = np.fromfile(fh, dtype=np.uint8, count=limit + 1)
+    if len(values) != limit + 1:
         raise CacheCorruptionError(
-            f"{path}: declared limit {limit} needs {limit + 1} bytes, found {len(payload)}"
+            f"{path}: declared limit {limit} needs {limit + 1} bytes, read {len(values)}"
         )
-    values = np.frombuffer(payload, dtype=np.uint8)
     values.flags.writeable = False
     return OmegaTable(limit=int(limit), values=values)

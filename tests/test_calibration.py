@@ -6,6 +6,7 @@ from aptuple.calibration import (
     PatternFamily,
     UnreliableSampleError,
     calibrate,
+    calibrate_all,
     estimate_correction_via_ratio,
     family_presets,
     reproduce_tables,
@@ -53,6 +54,20 @@ def test_worked_example(table_big):
     assert len(report.per_member) == 4
     assert all(mc.ratio > 0 for mc in report.per_member)
     assert all(mc.theoretical == report.per_member[0].theoretical for mc in report.per_member)
+
+
+@pytest.mark.parametrize("parity", ["odd", "all"])
+def test_calibrate_all_equals_repeated_calibrate(table_big, parity):
+    family = family_presets()["triple-full"]
+    vectors = [Requirements(d) for d in ((1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3))]
+    reports = calibrate_all(table_big, family, vectors, X7, parity=parity)
+    assert reports == [calibrate(table_big, family, v, X7, parity=parity) for v in vectors]
+
+
+def test_calibrate_all_rejects_any_unreliable_vector(table_small):
+    family = PatternFamily(Pattern((0, 2)), (1, 2))
+    with pytest.raises(UnreliableSampleError):
+        calibrate_all(table_small, family, [Requirements((1, 1)), Requirements((9, 9))], 10_000)
 
 
 def test_mean_invariant_under_member_order(table_big):

@@ -1,9 +1,14 @@
+import random
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from aptuple import census
 from aptuple._primes import trial_division_omega
-from aptuple.census import CensusQuery, count_single, count_tuples
+from aptuple.census import CensusQuery, count_demands, count_single, count_tuples
 from aptuple.patterns import Pattern, Requirements
-from aptuple.sieve import TableBoundError
+from aptuple.sieve import OmegaTable, TableBoundError
 
 X7 = 10**7
 
@@ -148,3 +153,88 @@ def test_inadmissible_pattern_starves(table_big):
         Pattern((0, 2, 4, 6, 8)), Requirements((1, 1, 1, 1, 1)), X7
     )
     assert count_tuples(table_big, query).count <= 1
+
+
+# The block engine, with blocks small enough that a 1e4 table spans many.
+SMALL_BLOCK = 64
+
+
+def _random_cases(seed, count):
+    """Patterns with at least one odd offset, three demand vectors each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        offsets = {0, 2 * rng.randrange(0, 12) + 1}
+        offsets |= {rng.randrange(1, 40) for _ in range(rng.randrange(0, 3))}
+        pattern = Pattern(tuple(offsets))
+        vectors = [
+            Requirements(tuple(rng.randrange(1, 4) for _ in pattern.offsets))
+            for _ in range(3)
+        ]
+        yield pattern, vectors
+
+
+@pytest.mark.parametrize("parity", ["odd", "all"])
+@pytest.mark.parametrize("mode", ["exact", "atmost"])
+def test_small_blocks_match_oracle(table_small, monkeypatch, parity, mode):
+    monkeypatch.setattr(census, "BLOCK", SMALL_BLOCK)
+    # odd parity has one start per two n, so its block edges sit at twice these x
+    edges = {1, 2, 3, 1000}
+    for edge in (SMALL_BLOCK, 2 * SMALL_BLOCK, 3 * SMALL_BLOCK, 4 * SMALL_BLOCK):
+        edges |= {edge - 1, edge, edge + 1}
+    for pattern, vectors in _random_cases(f"{parity}-{mode}", 4):
+        for x in sorted(edges):
+            want = tuple(_brute_force(pattern, v.demands, x, parity, mode) for v in vectors)
+            for workers in (1, 2, 3):
+                got = count_demands(table_small, pattern, vectors, x, parity, mode, workers)
+                assert got == want, (pattern, x, workers)
+
+
+def test_count_demands_matches_count_tuples(table_big):
+    triples = [Requirements(d) for d in ((1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3), (1, 1, 2))]
+    pairs = [Requirements(d) for d in ((1, 2), (2, 1), (3, 3), (1, 1))]
+    for pattern, vectors in ((Pattern((0, 2, 6)), triples), (Pattern((0, 4)), pairs)):
+        for parity in ("odd", "all"):
+            for mode in ("exact", "atmost"):
+                got = count_demands(table_big, pattern, vectors, X7, parity, mode)
+                want = tuple(
+                    count_tuples(table_big, CensusQuery(pattern, v, X7, parity, mode)).count
+                    for v in vectors
+                )
+                assert got == want, (pattern, parity, mode)
+    assert count_demands(table_big, Pattern((0, 2)), [], X7) == ()
+
+
+def test_count_demands_validates_every_vector(table_small):
+    with pytest.raises(ValueError):
+        count_demands(table_small, Pattern((0, 2)), [Requirements((1, 1)), Requirements((1,))], 100)
+    with pytest.raises(TableBoundError):
+        count_demands(table_small, Pattern((0, 2)), [Requirements((1, 1))], table_small.limit)
+
+
+def test_demands_beyond_a_byte(table_small):
+    pattern = Pattern((0, 2))
+    huge = Requirements((1, 300))
+    assert count_tuples(table_small, CensusQuery(pattern, huge, 10_000)).count == 0
+    atmost = count_tuples(
+        table_small, CensusQuery(pattern, huge, 10_000, mode="atmost")
+    ).count
+    assert atmost == _brute_force(pattern, huge.demands, 10_000, "odd", "atmost")
+
+
+@pytest.mark.parametrize("parity", ["odd", "all"])
+def test_census_memory_is_one_block(parity):
+    # the engine only reads the table, so zeros stand in for a 1e8 table
+    values = np.zeros(10**8 + 7, dtype=np.uint8)
+    values.flags.writeable = False
+    table = OmegaTable(limit=10**8 + 6, values=values)
+    query = CensusQuery(
+        Pattern((0, 2, 6)), Requirements((2, 2, 3)), 10**8, parity=parity, mode="atmost"
+    )
+    tracemalloc.start()
+    try:
+        count = count_tuples(table, query).count
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 0
+    assert peak < 8 * 2**20

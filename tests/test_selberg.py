@@ -4,6 +4,7 @@ import random
 import mpmath
 import pytest
 
+from aptuple._primes import primes_up_to
 from aptuple.patterns import Pattern, scale_pattern
 from aptuple.selberg import (
     TWIN_PRIME_C2,
@@ -152,3 +153,37 @@ def test_log_space_path_matches_plain_product():
         _, nu = residues_mod_p(pattern, p)
         direct *= (1.0 - nu / p) * (1.0 - 1.0 / p) ** (-4)
     assert abs(result.value - direct) < 1e-9 * direct
+
+
+def test_tail_bound_holds_for_wide_patterns():
+    # distances with a prime factor above the prime limit make that prime's
+    # omitted factor first order; the bound must still cover the error
+    rng = random.Random(2000006)
+    limit = 10**4
+    primes = [int(p) for p in primes_up_to(10 * limit) if p > limit]
+    for _ in range(40):
+        n = 2 * rng.choice(primes) * rng.choice([1, 1, 3, 5])
+        result = selberg_constant(Pattern((0, n)), limit)
+        assert abs(result.value - pair_constant_closed_form(n)) <= result.tail_bound, n
+    for _ in range(40):
+        a = 2 * rng.choice(primes)
+        b = a + 2 * rng.choice([1, 2, 3]) * rng.choice(primes)
+        pattern = Pattern((0, a, b))
+        result = selberg_constant(pattern, limit)
+        finer = selberg_constant(pattern, 10 * limit)
+        assert result.admissible == finer.admissible
+        assert abs(result.value - finer.value) <= result.tail_bound, pattern
+
+
+def test_tail_bound_for_a_distance_with_a_large_prime():
+    # 2000006 = 2 * 1000003, a prime above the default limit
+    result = selberg_constant(Pattern((0, 2000006)), PRIME_LIMIT)
+    error = abs(result.value - pair_constant_closed_form(2000006))
+    assert error > 1e-6
+    assert error <= result.tail_bound < 2 * error
+
+
+def test_offsets_beyond_64_bits():
+    n = 2 * 10**20 + 2 * 1000003
+    result = selberg_constant(Pattern((0, n)), PRIME_LIMIT)
+    assert abs(result.value - pair_constant_closed_form(n)) <= result.tail_bound

@@ -2,6 +2,7 @@ import hashlib
 import multiprocessing
 import random
 import struct
+import tracemalloc
 from math import isqrt
 
 import numpy as np
@@ -16,6 +17,9 @@ from aptuple.sieve import (
     TableBoundError,
     _segment_omega,
 )
+
+
+X7 = 10**7
 
 
 def test_defined_values(table_small):
@@ -219,6 +223,69 @@ def test_load_rejects_trailing_bytes(tmp_path):
     path.write_bytes(b"OMGA" + bytes([1]) + struct.pack("<Q", 10) + bytes(20))
     with pytest.raises(CacheCorruptionError):
         ap.load_table(path)
+
+
+@pytest.mark.parametrize("cut", [1, 5_000])
+def test_load_rejects_truncated_table(tmp_path, cut):
+    path = tmp_path / "omega.bin"
+    ap.save_table(ap.build_omega_table(10_000), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-cut])
+    with pytest.raises(CacheCorruptionError):
+        ap.load_table(path)
+
+
+@pytest.mark.parametrize("extra", [b"\x00", bytes(5_000)])
+def test_load_rejects_table_with_extra_bytes(tmp_path, extra):
+    path = tmp_path / "omega.bin"
+    ap.save_table(ap.build_omega_table(10_000), path)
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(CacheCorruptionError):
+        ap.load_table(path)
+
+
+def test_load_checks_size_before_allocating(tmp_path):
+    # a header declaring an exabyte table is rejected, not allocated
+    path = tmp_path / "huge.bin"
+    path.write_bytes(b"OMGA" + bytes([1]) + struct.pack("<Q", 2**60) + bytes(11))
+    with pytest.raises(CacheCorruptionError):
+        ap.load_table(path)
+
+
+def test_load_holds_one_copy(tmp_path):
+    path = tmp_path / "omega.bin"
+    ap.save_table(ap.build_omega_table(2**22), path)
+    tracemalloc.start()
+    try:
+        loaded = ap.load_table(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.limit == 2**22
+    assert peak < 1.1 * 2**22
+
+
+def test_loaded_table_is_read_only(tmp_path):
+    path = tmp_path / "omega.bin"
+    ap.save_table(ap.build_omega_table(1_000), path)
+    loaded = ap.load_table(path)
+    with pytest.raises(ValueError):
+        loaded.values[2] = 7
+
+
+def test_histogram_memory_is_one_chunk(table_big):
+    windows = {"all": table_big.values[2 : X7 + 1], "odd": table_big.values[3 : X7 + 1 : 2]}
+    for parity, window in windows.items():
+        want = np.bincount(window)
+        tracemalloc.start()
+        try:
+            hist = ap.k_histogram(table_big, X7, parity=parity)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(hist, want)
+        assert hist.dtype == want.dtype
+        assert peak < 16 * 2**20
 
 
 def test_table_is_read_only(table_small):
