@@ -190,17 +190,24 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _require_table(args, min_limit: int) -> OmegaTable:
+def _require_table(args, min_limit: int) -> tuple[OmegaTable, dict]:
+    """The cached table covering min_limit, and the JSON `cache` block.
+
+    load_s is the time spent bringing the table in: mapping the cached
+    file, or, when rebuilt is true, sieving and saving a new one first.
+    """
     cache = default_cache_dir() if args.cache is None else Path(args.cache)
-    table, _, _ = ensure_table(min_limit, cache, workers=args.workers)
-    return table
+    started = time.perf_counter()
+    table, path, rebuilt = ensure_table(min_limit, cache, workers=args.workers)
+    load_s = time.perf_counter() - started
+    return table, {"path": str(path), "limit": table.limit, "rebuilt": rebuilt, "load_s": load_s}
 
 
 def _cmd_count(args) -> int:
     pattern = Pattern.parse(args.pattern)
     requirements = Requirements.parse(args.k)
     query = CensusQuery(pattern, requirements, args.x, parity=args.parity, mode=args.mode)
-    table = _require_table(args, args.x + pattern.max_offset)
+    table, cache = _require_table(args, args.x + pattern.max_offset)
     result = count_tuples(table, query, workers=args.workers)
     doc = {
         "pattern": str(pattern),
@@ -214,7 +221,7 @@ def _cmd_count(args) -> int:
     if args.csv:
         _emit_csv(list(doc.keys()), [list(doc.values())])
     else:
-        _emit_json(doc)
+        _emit_json({**doc, "cache": cache})
     return 0
 
 
@@ -224,7 +231,7 @@ def _cmd_calibrate(args) -> int:
     family = PatternFamily(base, scales)
     requirements = Requirements.parse(args.k)
     max_offset = max(member.max_offset for member in family.members)
-    table = _require_table(args, args.x + max_offset)
+    table, cache = _require_table(args, args.x + max_offset)
     report = calibrate(
         table, family, requirements, args.x,
         prime_limit=args.prime_limit, parity=args.parity, mode=args.mode,
@@ -258,6 +265,7 @@ def _cmd_calibrate(args) -> int:
                 "mean": report.mean,
                 "std_dev": report.std_dev,
                 "rel_error_percent": report.rel_error_percent,
+                "cache": cache,
             }
         )
     return 0
@@ -270,7 +278,7 @@ def _cmd_tables(args) -> int:
     margin = max(
         member.offsets[-1] for name in TABLE_FAMILIES for member in presets[name].members
     )
-    table = _require_table(args, args.x + margin)
+    table, cache = _require_table(args, args.x + margin)
     report = reproduce_tables(table, args.x, prime_limit=args.prime_limit, workers=args.workers)
 
     def write_csv(name: str, header: list[str], rows: list[list]) -> Path:
@@ -299,7 +307,9 @@ def _cmd_tables(args) -> int:
             [[*r.requirements.demands, r.correction, r.error_percent] for r in report.triple_corrections],
         ),
     ]
-    _emit_json({"x": args.x, "out": str(out_dir), "files": [str(p) for p in files]})
+    _emit_json(
+        {"x": args.x, "out": str(out_dir), "files": [str(p) for p in files], "cache": cache}
+    )
     return 0
 
 
@@ -312,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cache_flags(p):
         p.add_argument("--cache", default=None, help=f"cache directory (default ${CACHE_ENV} or ~/.cache/aptuple)")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1, help="threads for sieving and census scans")
 
     p = sub.add_parser("sieve", help="build and persist a factor-count table")
     p.add_argument("--limit", type=_parse_bound, required=True)

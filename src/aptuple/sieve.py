@@ -32,16 +32,25 @@ acc(n) <= 7 log2 n + log3(n)/2 = 7.316 log2 n, which is below 256 while
 n < 2^34 (7.316 * 34 = 248.7); the factor count in the high byte is at most
 log3 n < 22. build_omega_table rejects limits of 2^34 and above.
 
+Segments are sieved on threads that write their disjoint slices of the
+table in place. A cache file is a 13-byte header followed by the values.
+load_table maps it read-only instead of copying it: processes that load
+one file share its page-cache pages, and each process's RSS counts only
+the pages it touches. Truncating a mapped file in place would make later
+reads raise SIGBUS; save_table never does that, since it writes a new file
+(mkstemp) and renames it over the old one (os.replace).
+
 Conventions: values[0] = values[1] = 0 (empty product).
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,8 +181,9 @@ def build_omega_table(
         Numbers processed per segment, rounded down to even; affects memory
         and scheduling only, never the result.
     workers : int
-        Segments are farmed out to this many processes when > 1. The
-        assembled table is identical for any worker count.
+        Segments are sieved on this many threads, each writing its odd
+        entries straight into the table; numpy's strided adds release the
+        interpreter lock. The table is identical for any worker count.
     distinct : bool
         Count distinct prime factors instead of multiplicity. The result
         uses the same type and cache format; it exists for cross-checking
@@ -200,16 +210,14 @@ def build_omega_table(
     step = segment_size & ~1
     spans = [(lo, min(lo + step, limit + 1)) for lo in range(0, limit, step)]
 
-    if workers == 1 or len(spans) == 1:
-        for lo, hi in spans:
-            values[lo + 1 : hi : 2] = _segment_omega(lo, hi, root, distinct)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_segment_omega, lo, hi, root, distinct) for lo, hi in spans
-            ]
-            for (lo, hi), fut in zip(spans, futures):
-                values[lo + 1 : hi : 2] = fut.result()
+    def sieve(span: tuple[int, int]) -> None:
+        lo, hi = span
+        values[lo + 1 : hi : 2] = _segment_omega(lo, hi, root, distinct)
+
+    # segments write disjoint slices of values, so the threads need no lock;
+    # list() reads every result, so a segment that failed raises here
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(sieve, spans))
 
     _fill_even(values, distinct)
     values.flags.writeable = False
@@ -278,11 +286,17 @@ def save_table(table: OmegaTable, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> OmegaTable:
-    """Read a table written by save_table; round-trips byte-for-byte.
+    """Map a table written by save_table read-only; round-trips byte-for-byte.
 
-    The payload size is checked against the header before anything is
-    allocated, then read straight into the table's array, so loading
-    holds one copy of the table.
+    The header and the file size are checked before anything is mapped.
+    The values are then a read-only view of a shared mapping of the file,
+    not a copy: every process that loads the same file reads the same
+    page-cache pages, loading costs no read of the payload, and a process's
+    RSS grows only by the pages its queries touch. The mapping lives as
+    long as the array. Truncating the file in place while it is mapped
+    would make reads of the lost pages raise SIGBUS; save_table never does
+    that, because it writes a new file and renames it over the old one, so
+    a table loaded earlier keeps reading the old file's pages.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -299,10 +313,6 @@ def load_table(path: str | Path) -> OmegaTable:
             raise CacheCorruptionError(
                 f"{path}: declared limit {limit} needs {limit + 1} bytes, found {found}"
             )
-        values = np.fromfile(fh, dtype=np.uint8, count=limit + 1)
-    if len(values) != limit + 1:
-        raise CacheCorruptionError(
-            f"{path}: declared limit {limit} needs {limit + 1} bytes, read {len(values)}"
-        )
-    values.flags.writeable = False
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    values = np.frombuffer(mapped, dtype=np.uint8, count=limit + 1, offset=HEADER_SIZE)
     return OmegaTable(limit=int(limit), values=values)

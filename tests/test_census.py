@@ -1,9 +1,12 @@
+import hashlib
 import random
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import aptuple as ap
 from aptuple import census
 from aptuple._primes import trial_division_omega
 from aptuple.census import CensusQuery, count_demands, count_single, count_tuples
@@ -238,3 +241,49 @@ def test_census_memory_is_one_block(parity):
         tracemalloc.stop()
     assert count == 0
     assert peak < 8 * 2**20
+
+
+@pytest.fixture(scope="module")
+def built_and_mapped(tmp_path_factory):
+    """A 2^20 table as built, and the same table saved and loaded back."""
+    built = ap.build_omega_table(2**20)
+    path = tmp_path_factory.mktemp("mapped") / "omega.bin"
+    ap.save_table(built, path)
+    return built, ap.load_table(path)
+
+
+@pytest.mark.parametrize("parity", ["odd", "all"])
+@pytest.mark.parametrize("mode", ["exact", "atmost"])
+def test_census_on_mapped_table(built_and_mapped, parity, mode):
+    built, mapped = built_and_mapped
+    x = 2**20 - 6
+    for pattern, vectors in (
+        (Pattern((0, 2, 6)), [Requirements(d) for d in ((1, 1, 2), (2, 2, 2), (2, 2, 3))]),
+        (Pattern((0, 1)), [Requirements(d) for d in ((1, 2), (2, 2))]),
+    ):
+        want = count_demands(built, pattern, vectors, x, parity, mode)
+        assert count_demands(mapped, pattern, vectors, x, parity, mode, workers=2) == want
+        assert count_demands(mapped, pattern, vectors, x, parity, mode) == want
+
+
+@pytest.mark.parametrize("parity", ["odd", "all"])
+def test_histogram_on_mapped_table(built_and_mapped, parity):
+    built, mapped = built_and_mapped
+    want = ap.k_histogram(built, built.limit, parity=parity)
+    assert np.array_equal(ap.k_histogram(mapped, mapped.limit, parity=parity), want)
+
+
+def test_sieve_threads_give_identical_tables():
+    # more threads than cores and frequent switches, so a lost write would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        tables = [
+            ap.build_omega_table(300_001, segment_size=1 << 14, workers=w) for w in (1, 2, 3)
+        ]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(t.values.tobytes() == tables[0].values.tobytes() for t in tables[1:])
+    pinned = "7b765029b469010d067444bba577535a1a2675ff970ae0b3e57a040466ae9ca1"
+    table = ap.build_omega_table(X7, workers=2)
+    assert hashlib.sha256(table.values).hexdigest() == pinned

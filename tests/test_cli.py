@@ -77,6 +77,8 @@ def test_count_uses_and_reuses_cache(capsys, tmp_path):
     assert table_path.stat().st_mtime_ns == stamp  # warm cache, no rebuild
     doc2 = json.loads(out2)
     doc1.pop("elapsed"), doc2.pop("elapsed")
+    cache1, cache2 = doc1.pop("cache"), doc2.pop("cache")
+    assert (cache1["rebuilt"], cache2["rebuilt"]) == (True, False)
     assert doc1 == doc2
 
 
@@ -101,6 +103,43 @@ def test_count_csv(capsys, tmp_path):
     assert rows[0][:6] == ["pattern", "k", "x", "parity", "mode", "count"]
     assert rows[1][5] == "35"
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--pattern", "0,2", "--k", "1,1", "--x", "1000"],
+        ["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1", "--x", "1e4"],
+        ["tables", "--x", "1e4"],
+    ],
+)
+def test_json_reports_cache(capsys, tmp_path, argv):
+    cache = tmp_path / "cache"
+    if argv[0] == "tables":
+        argv = argv + ["--out", str(tmp_path / "tables")]
+    argv = argv + ["--cache", str(cache)]
+    blocks = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        blocks.append(json.loads(out)["cache"])
+    cold, warm = blocks
+    limit = load_table(cache / "omega.bin").limit
+    for block, rebuilt in ((cold, True), (warm, False)):
+        assert block["path"] == str(cache / "omega.bin")
+        assert block["limit"] == limit
+        assert block["rebuilt"] is rebuilt
+        assert block["load_s"] >= 0
+
+
+def test_count_csv_has_no_cache_column(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "count", "--pattern", "0,2", "--k", "1,1", "--x", "1000",
+        "--cache", str(tmp_path / "cache"), "--csv",
+    )
+    assert code == 0
+    header = out.splitlines()[0]
+    assert header == "pattern,k,x,parity,mode,count,elapsed"
 
 
 def test_cache_env_override(capsys, tmp_path, monkeypatch):

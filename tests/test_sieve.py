@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import aptuple as ap
+from aptuple import sieve
 from aptuple._primes import primes_up_to, trial_division_omega
 from aptuple.sieve import (
     DEFAULT_SEGMENT_SIZE,
@@ -291,3 +292,68 @@ def test_histogram_memory_is_one_chunk(table_big):
 def test_table_is_read_only(table_small):
     with pytest.raises(ValueError):
         table_small.values[2] = 7
+
+
+def _corrupt_files(tmp_path):
+    """A truncated file, one with extra bytes, and a header declaring 2^60."""
+    path = tmp_path / "omega.bin"
+    ap.save_table(ap.build_omega_table(10_000), path)
+    raw = path.read_bytes()
+    cases = {
+        "truncated": raw[:-1],
+        "extra": raw + b"\x00",
+        "huge": b"OMGA" + bytes([1]) + struct.pack("<Q", 2**60) + bytes(11),
+    }
+    for name, data in cases.items():
+        bad = tmp_path / f"{name}.bin"
+        bad.write_bytes(data)
+        yield bad
+
+
+def test_corrupt_files_rejected_before_mapping(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mapped a file that failed its checks")
+
+    monkeypatch.setattr(sieve.mmap, "mmap", refuse)
+    for path in _corrupt_files(tmp_path):
+        with pytest.raises(CacheCorruptionError):
+            ap.load_table(path)
+
+
+def test_mapped_table_cannot_be_made_writable(tmp_path):
+    path = tmp_path / "omega.bin"
+    ap.save_table(ap.build_omega_table(1_000), path)
+    loaded = ap.load_table(path)
+    with pytest.raises(ValueError):
+        loaded.values.flags.writeable = True
+    with pytest.raises(ValueError):
+        loaded.values[2:5] = 0
+    assert path.read_bytes()[13 + 2 : 13 + 5] == bytes([1, 1, 2])
+
+
+def test_load_maps_instead_of_copying(tmp_path):
+    path = tmp_path / "omega.bin"
+    ap.save_table(ap.build_omega_table(2**22), path)
+    tracemalloc.start()
+    try:
+        loaded = ap.load_table(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.limit == 2**22
+    assert peak < 2**20
+
+
+def test_replaced_file_leaves_earlier_load_intact(tmp_path):
+    path = tmp_path / "omega.bin"
+    old = ap.build_omega_table(10_000)
+    new = ap.build_omega_table(10_000, distinct=True)
+    ap.save_table(old, path)
+    earlier = ap.load_table(path)
+    ap.save_table(new, path)
+    assert np.array_equal(earlier.values, old.values)
+    assert np.array_equal(ap.load_table(path).values, new.values)
+    # a larger table replacing the file does not disturb the old mapping either
+    ap.save_table(ap.build_omega_table(20_000), path)
+    assert np.array_equal(earlier.values, old.values)
+    assert ap.load_table(path).limit == 20_000
