@@ -24,7 +24,7 @@ from .calibration import (
     reproduce_tables,
     symmetry_report,
 )
-from .census import CensusQuery, CensusResult, count_demands, count_single, count_tuples
+from .census import CensusQuery, CensusResult, count_demands, count_tuples, k_histogram
 from .patterns import (
     AdmissibilityVerdict,
     Pattern,
@@ -46,8 +46,6 @@ from .selberg import (
 from .sieve import (
     OmegaTable,
     build_omega_table,
-    count_k_almost,
-    k_histogram,
     load_table,
     save_table,
 )

@@ -66,23 +66,19 @@ def distinct_prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def trial_division_omega(n: int, distinct: bool = False) -> int:
-    """Prime factor count by naive trial division, the sieve-table oracle.
+def trial_division_omega(n: int) -> int:
+    """Prime factors of n counted with multiplicity by naive trial division.
 
-    Counts with multiplicity by default, distinct primes with
-    distinct=True; 0 and 1 map to 0 either way.
+    The oracle the sieve tables are tested against; 0 and 1 map to 0.
     """
     if n < 2:
         return 0
     count = 0
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                count += 0 if distinct else 1
-                n //= d
-            if distinct:
-                count += 1
+        while n % d == 0:
+            count += 1
+            n //= d
         d = 3 if d == 2 else d + 2
     if n > 1:
         count += 1

@@ -20,8 +20,7 @@ import math
 import numpy as np
 
 from ._primes import primes_up_to
-from .patterns import Pattern, Requirements
-from .selberg import selberg_constant
+from .patterns import Requirements
 
 EULER_GAMMA = float(np.euler_gamma)
 
@@ -121,30 +120,20 @@ def loglog_power_product(requirements: Requirements, x: float) -> float:
 
 
 def predicted_tuple_count(
-    series: float | Pattern,
+    series: float,
     requirements: Requirements,
     x: float,
     correction: float = 1.0,
-    prime_limit: int = 10**6,
 ) -> float:
     """correction * S * x/(log x)^m * prod_i (log log x)^(k_i-1)/(k_i-1)!.
 
-    series may be a precomputed singular-series value or a Pattern, in
-    which case the value is evaluated here and the lengths must agree.
+    series is the singular-series value S of the pattern, m its length.
     """
     _check_x(x)
     if correction <= 0:
         raise ValueError(f"need correction > 0, got {correction}")
-    if isinstance(series, Pattern):
-        if len(series) != len(requirements):
-            raise ValueError(
-                f"pattern length {len(series)} != requirements length {len(requirements)}"
-            )
-        series_value = selberg_constant(series, prime_limit).value
-    else:
-        series_value = float(series)
-        if series_value < 0:
-            raise ValueError(f"need series >= 0, got {series_value}")
+    if series < 0:
+        raise ValueError(f"need series >= 0, got {series}")
     m = len(requirements)
     base = x / math.log(x) ** m
-    return correction * series_value * base * loglog_power_product(requirements, x)
+    return correction * series * base * loglog_power_product(requirements, x)

@@ -10,6 +10,9 @@ even entries) are first gathered into contiguous buffers, so every test
 reads a unit-stride slice. Nothing is allocated inside the block loop.
 Block partials combine by integer addition, so any block size or worker
 count yields the same totals.
+
+A single position needs no scan per k: k_histogram bins the whole range
+once and gives the count of every Omega value.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .patterns import Pattern, Requirements
 from .sieve import OmegaTable, TableBoundError
 
 BLOCK = 1 << 18  # tuple starts per block; of 2^15..2^19, 2^18 measured fastest
+HISTOGRAM_CHUNK = 1 << 18  # table entries per bincount call; bounds its intp copy
 
 
 @dataclass(frozen=True)
@@ -178,6 +182,30 @@ def count_demands(
     return tuple(sum(column) for column in zip(*partials))
 
 
+def k_histogram(table: OmegaTable, x: int, parity: str = "all") -> np.ndarray:
+    """Counts of n in [2, x] (odd n only for parity "odd") per Omega value.
+
+    Index k holds the count of n with Omega(n) = k, and the array ends at
+    the largest k that occurs ([0] when no n is in range). The table is
+    binned one chunk at a time, because bincount widens its input to intp
+    (8 bytes an entry); memory stays O(chunk) at any x.
+    """
+    if x < 2:
+        raise ValueError(f"need x >= 2, got {x}")
+    if x > table.limit:
+        raise TableBoundError(f"x = {x} exceeds table limit {table.limit}")
+    if parity == "all":
+        window = table.values[2 : x + 1]
+    elif parity == "odd":
+        window = table.values[3 : x + 1 : 2]
+    else:
+        raise ValueError(f"parity must be 'all' or 'odd', got {parity!r}")
+    counts = np.zeros(256, dtype=np.intp)
+    for lo in range(0, len(window), HISTOGRAM_CHUNK):
+        counts += np.bincount(window[lo : lo + HISTOGRAM_CHUNK], minlength=256)
+    return counts[: np.flatnonzero(counts).max(initial=0) + 1]
+
+
 def count_tuples(table: OmegaTable, query: CensusQuery, workers: int = 1) -> CensusResult:
     """Count n in [1, x] whose whole tuple satisfies the query demands."""
     started = time.perf_counter()
@@ -186,15 +214,3 @@ def count_tuples(table: OmegaTable, query: CensusQuery, workers: int = 1) -> Cen
         parity=query.parity, mode=query.mode, workers=workers,
     )
     return CensusResult(query=query, count=count, elapsed=time.perf_counter() - started)
-
-
-def count_single(table: OmegaTable, k: int, x: int, parity: str = "odd") -> int:
-    """Degenerate single-position census; k=1 odd-only counts the odd primes."""
-    query = CensusQuery(
-        pattern=Pattern((0,)),
-        requirements=Requirements((k,)),
-        x=x,
-        parity=parity,
-        mode="exact",
-    )
-    return count_tuples(table, query).count

@@ -71,6 +71,8 @@ def _parse_bound(text: str) -> int:
     except ValueError:
         pass
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite bound")
     rounded = int(round(value))
     if abs(value - rounded) > 1e-6 * max(1.0, abs(value)):
         raise argparse.ArgumentTypeError(f"{text!r} is not an integral bound")
@@ -89,10 +91,7 @@ def _next_power_of_two(n: int) -> int:
 
 
 def ensure_table(
-    min_limit: int,
-    cache_dir: Path,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
+    min_limit: int, cache_dir: Path, workers: int = 1
 ) -> tuple[OmegaTable, Path, bool]:
     """Load the cached table if it covers min_limit, else rebuild and persist.
 
@@ -105,9 +104,7 @@ def ensure_table(
         table = load_table(path)
         if table.limit >= min_limit:
             return table, path, False
-    table = build_omega_table(
-        _next_power_of_two(min_limit), segment_size=segment_size, workers=workers
-    )
+    table = build_omega_table(_next_power_of_two(min_limit), workers=workers)
     save_table(table, path)
     return table, path, True
 
@@ -338,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selberg", help="truncated singular-series value")
     p.add_argument("--pattern", required=True)
     p.add_argument("--prime-limit", type=_parse_bound, default=10**6)
-    p.add_argument("--json", action="store_true", help="JSON output (the default)")
     p.set_defaults(func=_cmd_selberg)
 
     p = sub.add_parser("predict", help="theoretical tuple count")

@@ -40,6 +40,9 @@ the pages it touches. Truncating a mapped file in place would make later
 reads raise SIGBUS; save_table never does that, since it writes a new file
 (mkstemp) and renames it over the old one (os.replace).
 
+This module only builds, saves and loads tables, and a table (so a cache
+file) always holds Omega(n); counting in one is the census module's job.
+
 Conventions: values[0] = values[1] = 0 (empty product).
 """
 
@@ -62,7 +65,6 @@ MAGIC = b"OMGA"
 FORMAT_VERSION = 1
 HEADER_SIZE = 13  # magic, version byte, little-endian uint64 limit
 DEFAULT_SEGMENT_SIZE = 1 << 22
-HISTOGRAM_CHUNK = 1 << 18
 
 
 class CacheFormatError(Exception):
@@ -103,13 +105,11 @@ def _log_units_start(k: int) -> int:
     return n
 
 
-def _segment_omega(lo: int, hi: int, root: int, distinct: bool = False) -> np.ndarray:
+def _segment_omega(lo: int, hi: int, root: int) -> np.ndarray:
     """Factor counts for the odd n in [lo, hi); entry i holds n = lo + 2i + 1.
 
     lo must be even and hi <= (root + 1)^2, so that the primes up to root
-    leave at most one prime factor of each n unfound. With distinct=True
-    only the first power of each prime adds a factor; every power still
-    adds its log units, which the leftover test needs.
+    leave at most one prime factor of each n unfound.
     """
     primes = primes_up_to(root)[1:]
     weights = np.rint(LOG_UNITS * np.log2(primes)).astype(np.int64)
@@ -124,8 +124,6 @@ def _segment_omega(lo: int, hi: int, root: int, distinct: bool = False) -> np.nd
             if first >= hi:
                 break
             packed[(first - lo) >> 1 :: q] += credit
-            if distinct:
-                credit = w
             q *= p
 
     low_high = packed.view(np.uint8)
@@ -144,23 +142,18 @@ def _segment_omega(lo: int, hi: int, root: int, distinct: bool = False) -> np.nd
     return omega
 
 
-def _fill_even(values: np.ndarray, distinct: bool) -> None:
+def _fill_even(values: np.ndarray) -> None:
     """Set every even entry from its half once the odd entries are final.
 
     Omega(2m) = Omega(m) + 1. Doubling the block [a, 2a) fills the even
     entries of [2a, 4a), whose halves are all final by then, and writes in
-    place without a temporary. For distinct counts 2 is a new prime of 2m
-    only when m is odd.
+    place without a temporary.
     """
     half = (len(values) - 1) // 2 + 1
     a = 1
     while a < half:
         b = min(2 * a, half)
-        if distinct:
-            values[2 * a : 2 * b : 2] = values[a:b]
-            values[2 * (a | 1) : 2 * b : 4] += 1
-        else:
-            np.add(values[a:b], 1, out=values[2 * a : 2 * b : 2])
+        np.add(values[a:b], 1, out=values[2 * a : 2 * b : 2])
         a = b
 
 
@@ -168,9 +161,8 @@ def build_omega_table(
     limit: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
-    distinct: bool = False,
 ) -> OmegaTable:
-    """Build the Omega table for 0..limit by segmented sieving.
+    """Build the table of Omega(n), with multiplicity, for 0..limit by segmented sieving.
 
     Parameters
     ----------
@@ -184,10 +176,6 @@ def build_omega_table(
         Segments are sieved on this many threads, each writing its odd
         entries straight into the table; numpy's strided adds release the
         interpreter lock. The table is identical for any worker count.
-    distinct : bool
-        Count distinct prime factors instead of multiplicity. The result
-        uses the same type and cache format; it exists for cross-checking
-        the distinct-factor asymptotics and is not what the censuses use.
 
     Raises
     ------
@@ -212,55 +200,16 @@ def build_omega_table(
 
     def sieve(span: tuple[int, int]) -> None:
         lo, hi = span
-        values[lo + 1 : hi : 2] = _segment_omega(lo, hi, root, distinct)
+        values[lo + 1 : hi : 2] = _segment_omega(lo, hi, root)
 
     # segments write disjoint slices of values, so the threads need no lock;
     # list() reads every result, so a segment that failed raises here
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(sieve, spans))
 
-    _fill_even(values, distinct)
+    _fill_even(values)
     values.flags.writeable = False
     return OmegaTable(limit=limit, values=values)
-
-
-def count_k_almost(table: OmegaTable, x: int, k: int, parity: str = "all") -> int:
-    """Count n in [2, x] with Omega(n) = k, optionally restricted to odd n."""
-    if x < 2:
-        raise ValueError(f"need x >= 2, got {x}")
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if x > table.limit:
-        raise TableBoundError(f"x = {x} exceeds table limit {table.limit}")
-    if parity == "all":
-        window = table.values[2 : x + 1]
-    elif parity == "odd":
-        window = table.values[3 : x + 1 : 2]
-    else:
-        raise ValueError(f"parity must be 'all' or 'odd', got {parity!r}")
-    return int(np.count_nonzero(window == k))
-
-
-def k_histogram(table: OmegaTable, x: int, parity: str = "all") -> np.ndarray:
-    """Counts of n in [2, x] per factor-count class; index k holds the k-class.
-
-    The table is binned one chunk at a time, because bincount widens its
-    input to intp (8 bytes an entry); memory stays O(chunk) at any x.
-    """
-    if x < 2:
-        raise ValueError(f"need x >= 2, got {x}")
-    if x > table.limit:
-        raise TableBoundError(f"x = {x} exceeds table limit {table.limit}")
-    if parity == "all":
-        window = table.values[2 : x + 1]
-    elif parity == "odd":
-        window = table.values[3 : x + 1 : 2]
-    else:
-        raise ValueError(f"parity must be 'all' or 'odd', got {parity!r}")
-    counts = np.zeros(256, dtype=np.intp)
-    for lo in range(0, len(window), HISTOGRAM_CHUNK):
-        counts += np.bincount(window[lo : lo + HISTOGRAM_CHUNK], minlength=256)
-    return counts[: np.flatnonzero(counts)[-1] + 1]
 
 
 def save_table(table: OmegaTable, path: str | Path) -> None:

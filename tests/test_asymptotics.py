@@ -14,7 +14,7 @@ from aptuple.asymptotics import (
     second_order_bracket,
     successor_ratio,
 )
-from aptuple.patterns import Pattern, Requirements
+from aptuple.patterns import Requirements
 
 X7 = 1e7
 LOGLOG_X7 = math.log(math.log(X7))
@@ -109,16 +109,6 @@ def test_intermediate_constants():
     # coarse published figures 38490 and 2388.7 sit within 0.03 percent
     assert abs(a2 - 38490) / 38490 < 3e-4
     assert abs(a3 - 2388.7) / 2388.7 < 3e-4
-
-
-def test_pattern_input_checks_length():
-    with pytest.raises(ValueError):
-        predicted_tuple_count(Pattern((0, 2, 6)), Requirements((1, 2)), X7)
-    via_pattern = predicted_tuple_count(Pattern((0, 2)), Requirements((1, 1)), X7)
-    direct = predicted_tuple_count(
-        1.3203237211796817, Requirements((1, 1)), X7
-    )
-    assert abs(via_pattern - direct) < 1e-6
 
 
 def test_domain_errors():

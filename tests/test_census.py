@@ -9,7 +9,7 @@ import pytest
 import aptuple as ap
 from aptuple import census
 from aptuple._primes import trial_division_omega
-from aptuple.census import CensusQuery, count_demands, count_single, count_tuples
+from aptuple.census import CensusQuery, count_demands, count_tuples
 from aptuple.patterns import Pattern, Requirements
 from aptuple.sieve import OmegaTable, TableBoundError
 
@@ -53,9 +53,9 @@ def test_odd_offset_pattern_starves(table_small):
 
 
 def test_count_single_examples(table_small):
-    assert count_single(table_small, 1, 100) == 24  # odd primes to 100
-    assert count_single(table_small, 1, 2) == 0
-    assert count_single(table_small, 2, 30, parity="all") == 10
+    assert census.k_histogram(table_small, 100, parity="odd")[1] == 24  # odd primes to 100
+    assert census.k_histogram(table_small, 2, parity="odd").sum() == 0
+    assert census.k_histogram(table_small, 30)[2] == 10
 
 
 def test_monotone_in_x(table_small):

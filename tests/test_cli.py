@@ -207,6 +207,15 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["count", "--pattern", "0,2"])  # missing --k/--x
     assert info.value.code == 2
+    # non-finite bounds are usage errors, not tracebacks
+    for command in ("count", "predict"):
+        for bound in ("inf", "1e400", "nan"):
+            with pytest.raises(SystemExit) as info:
+                cli.main([command, "--pattern", "0,2", "--k", "1,1", "--x", bound])
+            assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        cli.main(["selberg", "--pattern", "0,2", "--json"])  # the no-op flag is gone
+    assert info.value.code == 2
 
 
 def test_float_formatting_seven_digits(capsys):

@@ -15,6 +15,7 @@ from aptuple.sieve import (
     DEFAULT_SEGMENT_SIZE,
     CacheCorruptionError,
     CacheFormatError,
+    OmegaTable,
     TableBoundError,
     _segment_omega,
 )
@@ -73,12 +74,16 @@ def test_worker_determinism():
     assert np.array_equal(a.values, b.values)
 
 
-@pytest.mark.parametrize("distinct", [False, True])
+@pytest.mark.parametrize("reload", [False, True])
 @pytest.mark.parametrize("segment_size", [2, 3, 999, DEFAULT_SEGMENT_SIZE])
 @pytest.mark.parametrize("limit", [2, 3, 9_999, 10_000])
-def test_odd_sieve_matches_oracle(limit, segment_size, distinct):
-    table = ap.build_omega_table(limit, segment_size=segment_size, distinct=distinct)
-    expected = [trial_division_omega(n, distinct=distinct) for n in range(limit + 1)]
+def test_odd_sieve_matches_oracle(tmp_path, limit, segment_size, reload):
+    table = ap.build_omega_table(limit, segment_size=segment_size)
+    if reload:
+        # the mapped view of the saved file, down to the 16-byte file of limit 2
+        ap.save_table(table, tmp_path / "omega.bin")
+        table = ap.load_table(tmp_path / "omega.bin")
+    expected = [trial_division_omega(n) for n in range(limit + 1)]
     assert table.values.tolist() == expected
 
 
@@ -94,27 +99,19 @@ def test_high_segment_near_1e9():
         assert omega[i] == trial_division_omega(n), n
 
 
+PINNED_1E7 = "7b765029b469010d067444bba577535a1a2675ff970ae0b3e57a040466ae9ca1"
+
+
 @pytest.mark.parametrize(
-    "limit, distinct, digest",
-    [
-        (10**7, False, "7b765029b469010d067444bba577535a1a2675ff970ae0b3e57a040466ae9ca1"),
-        (10**6, True, "a3673d761df05c954a88f6040cc904fb4e26f67ed04b4255b5ca2a525de8a11d"),
-    ],
+    "limit, reload, digest", [(10**7, False, PINNED_1E7), (10**7, True, PINNED_1E7)]
 )
-def test_pinned_table_hashes(limit, distinct, digest):
-    # sha256 of tables built by an independent cofactor-division sieve
-    table = ap.build_omega_table(limit, distinct=distinct)
+def test_pinned_table_hashes(tmp_path, limit, reload, digest):
+    # sha256 of the table built by an independent cofactor-division sieve
+    table = ap.build_omega_table(limit)
+    if reload:
+        ap.save_table(table, tmp_path / "omega.bin")
+        table = ap.load_table(tmp_path / "omega.bin")
     assert hashlib.sha256(table.values).hexdigest() == digest
-
-
-def test_distinct_variant():
-    table = ap.build_omega_table(10_000, distinct=True)
-    for n in range(10_001):
-        assert table.values[n] == trial_division_omega(n, distinct=True), n
-    # distinct and multiplicity counts agree exactly on squarefree numbers
-    full = ap.build_omega_table(10_000)
-    assert table.values[30] == full.values[30] == 3
-    assert table.values[12] == 2 and full.values[12] == 3
 
 
 def test_build_argument_errors():
@@ -130,27 +127,36 @@ def test_build_argument_errors():
 
 
 def test_count_k_almost_examples(table_small):
-    assert ap.count_k_almost(table_small, 100, 1) == 25
-    assert ap.count_k_almost(table_small, 30, 2) == 10  # 4,6,9,10,14,15,21,22,25,26
-    assert ap.count_k_almost(table_small, 2, 5) == 0
-    assert ap.count_k_almost(table_small, 100, 1, parity="odd") == 24
+    assert ap.k_histogram(table_small, 100)[1] == 25  # primes to 100
+    assert ap.k_histogram(table_small, 30)[2] == 10  # 4,6,9,10,14,15,21,22,25,26
+    assert ap.k_histogram(table_small, 100, parity="odd")[1] == 24  # odd primes to 100
+    # no 5-almost prime up to 2: a k past the end of the histogram counts zero
+    assert len(ap.k_histogram(table_small, 2)) <= 5
 
 
-def test_count_k_almost_errors(table_small):
+def test_k_histogram_empty_odd_range(table_small):
+    # no odd n lies in [3, 2]
+    hist = ap.k_histogram(table_small, 2, parity="odd")
+    assert hist.tolist() == [0]
+    assert hist[0] == 0 and hist.sum() == 0
+
+
+def test_k_histogram_errors(table_small):
     with pytest.raises(TableBoundError):
-        ap.count_k_almost(table_small, table_small.limit + 1, 1)
+        ap.k_histogram(table_small, table_small.limit + 1)
     with pytest.raises(ValueError):
-        ap.count_k_almost(table_small, 100, 0)
+        ap.k_histogram(table_small, 1)
     with pytest.raises(ValueError):
-        ap.count_k_almost(table_small, 1, 1)
-    with pytest.raises(ValueError):
-        ap.count_k_almost(table_small, 100, 1, parity="even")
+        ap.k_histogram(table_small, 100, parity="even")
 
 
 def test_histogram_matches_counts(table_small):
-    hist = ap.k_histogram(table_small, 5_000)
-    for k in range(1, len(hist)):
-        assert hist[k] == ap.count_k_almost(table_small, 5_000, k)
+    values = table_small.values
+    for x in (2, 3, 5_000):
+        hist = ap.k_histogram(table_small, x)
+        assert hist.sum() == x - 1
+        for k in range(len(hist)):
+            assert hist[k] == np.count_nonzero(values[2 : x + 1] == k)
 
 
 def test_save_load_round_trip(tmp_path):
@@ -347,7 +353,7 @@ def test_load_maps_instead_of_copying(tmp_path):
 def test_replaced_file_leaves_earlier_load_intact(tmp_path):
     path = tmp_path / "omega.bin"
     old = ap.build_omega_table(10_000)
-    new = ap.build_omega_table(10_000, distinct=True)
+    new = OmegaTable(limit=10_000, values=np.full(10_001, 7, dtype=np.uint8))
     ap.save_table(old, path)
     earlier = ap.load_table(path)
     ap.save_table(new, path)
