@@ -4,50 +4,69 @@ Builds factor-count tables by segmented sieving, checks tuple-pattern
 admissibility, evaluates singular-series constants, censuses almost-prime
 tuples, and calibrates the correction factors of the generalized
 tuple-density conjecture.
+
+Importing the package loads nothing else: each exported name imports its
+module on first use (PEP 562), so a process pays only for the layers it
+touches.
 """
 
-from .asymptotics import (
-    EULER_GAMMA,
-    LANDAU_C1,
-    LANDAU_C2,
-    almost_prime_count_asymptotic,
-    predicted_tuple_count,
-    successor_ratio,
-)
-from .calibration import (
-    CalibrationReport,
-    PatternFamily,
-    calibrate,
-    calibrate_all,
-    estimate_correction_via_ratio,
-    family_presets,
-    reproduce_tables,
-    symmetry_report,
-)
-from .census import CensusQuery, CensusResult, count_demands, count_tuples, k_histogram
-from .patterns import (
-    AdmissibilityVerdict,
-    Pattern,
-    Requirements,
-    distance_gcd_prime_support,
-    is_admissible,
-    primorial,
-    residues_mod_p,
-    scale_pattern,
-)
-from .selberg import (
-    TWIN_PRIME_C2,
-    SelbergResult,
-    pair_constant_closed_form,
-    primorial_pattern_table,
-    selberg_constant,
-    triple_constant_closed_form,
-)
-from .sieve import (
-    OmegaTable,
-    build_omega_table,
-    load_table,
-    save_table,
-)
+import importlib
 
+_EXPORTS = {
+    "asymptotics": (
+        "EULER_GAMMA",
+        "LANDAU_C1",
+        "LANDAU_C2",
+        "almost_prime_count_asymptotic",
+        "predicted_tuple_count",
+        "successor_ratio",
+    ),
+    "calibration": (
+        "CalibrationReport",
+        "PatternFamily",
+        "calibrate",
+        "calibrate_all",
+        "estimate_correction_via_ratio",
+        "family_presets",
+        "reproduce_tables",
+        "symmetry_report",
+    ),
+    "census": ("CensusQuery", "CensusResult", "count_demands", "count_tuples", "k_histogram"),
+    "patterns": (
+        "AdmissibilityVerdict",
+        "Pattern",
+        "Requirements",
+        "distance_gcd_prime_support",
+        "is_admissible",
+        "primorial",
+        "residues_mod_p",
+        "scale_pattern",
+    ),
+    "selberg": (
+        "TWIN_PRIME_C2",
+        "SelbergResult",
+        "pair_constant_closed_form",
+        "primorial_pattern_table",
+        "selberg_constant",
+        "triple_constant_closed_form",
+    ),
+    "sieve": ("OmegaTable", "build_omega_table", "load_table", "save_table"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

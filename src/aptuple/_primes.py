@@ -1,6 +1,6 @@
 """Small shared prime utilities used across the package.
 
-Everything here is deliberately boring: a cached boolean sieve for bulk
+Everything here is deliberately boring: a cached odd-only sieve for bulk
 prime generation, trial-division primality for tiny arguments, and
 trial-division factorization for the small integers that appear in
 pattern offsets and scale factors.
@@ -22,16 +22,23 @@ def primes_up_to(n: int) -> np.ndarray:
     cached = _prime_cache.get(n)
     if cached is not None:
         return cached
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    primes = np.nonzero(sieve)[0].astype(np.int64)
+    primes = _sieve_odd(n)
     primes.flags.writeable = False
     if len(_prime_cache) > 16:
         _prime_cache.clear()
     _prime_cache[n] = primes
+    return primes
+
+
+def _sieve_odd(n: int) -> np.ndarray:
+    """Primes <= n, sieving odd numbers only and crossing off base primes only."""
+    if n < 2:
+        return np.empty(0, dtype=np.int64)
+    odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
+    for p in _sieve_odd(isqrt(n))[1:].tolist():
+        odd[p * p // 2 :: p] = False
+    primes = 2 * np.flatnonzero(odd).astype(np.int64) + 1
+    primes[0] = 2  # odd[0] stands for 1, which is never crossed off
     return primes
 
 

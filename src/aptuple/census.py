@@ -18,7 +18,6 @@ once and gives the count of every Omega value.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -177,6 +176,8 @@ def count_demands(
         return tuple(count((lo, hi)))
     per_chunk = -(-blocks // chunks) * BLOCK
     spans = [(a, min(a + per_chunk, hi)) for a in range(lo, hi, per_chunk)]
+    from concurrent.futures import ThreadPoolExecutor  # only threaded scans pay its import
+
     with ThreadPoolExecutor(max_workers=len(spans)) as pool:
         partials = list(pool.map(count, spans))
     return tuple(sum(column) for column in zip(*partials))

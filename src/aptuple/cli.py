@@ -14,27 +14,19 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .calibration import (
-    TABLE_FAMILIES,
-    PatternFamily,
-    calibrate,
-    family_presets,
-    reproduce_tables,
-)
-from .census import CensusQuery, count_tuples
-from .patterns import Pattern, Requirements, is_admissible
-from .selberg import selberg_constant
-from .asymptotics import loglog_power_product, predicted_tuple_count
-from .sieve import (
-    DEFAULT_SEGMENT_SIZE,
-    CacheCorruptionError,
-    CacheFormatError,
-    OmegaTable,
-    build_omega_table,
-    load_table,
-    save_table,
-)
+# aptuple never calls BLAS, so a CLI process has no use for the OpenBLAS
+# thread pool that numpy starts on import. This must run before the first
+# import of numpy below; setdefault leaves a value the user set in force.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# Each command imports the layers it runs, so `selberg` or `predict` never
+# loads the census or calibration code; main and the parser need only these.
+from .sieve import DEFAULT_SEGMENT_SIZE, CacheCorruptionError, CacheFormatError  # noqa: E402
+
+if TYPE_CHECKING:
+    from .sieve import OmegaTable
 
 CACHE_ENV = "APTUPLE_CACHE"
 CACHE_FILENAME = "omega.bin"
@@ -79,6 +71,14 @@ def _parse_bound(text: str) -> int:
     return rounded
 
 
+def _parse_workers(text: str) -> int:
+    """A thread count, at least 1."""
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"need workers >= 1, got {workers}")
+    return workers
+
+
 def default_cache_dir() -> Path:
     override = os.environ.get(CACHE_ENV)
     if override:
@@ -98,6 +98,8 @@ def ensure_table(
     Rebuilds round the limit up to the next power of two so subsequent
     queries at nearby bounds reuse the same file.
     """
+    from .sieve import build_omega_table, load_table, save_table
+
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / CACHE_FILENAME
     if path.exists():
@@ -110,6 +112,8 @@ def ensure_table(
 
 
 def _cmd_sieve(args) -> int:
+    from .sieve import build_omega_table, save_table
+
     started = time.perf_counter()
     table = build_omega_table(args.limit, segment_size=args.segment_size, workers=args.workers)
     if args.out:
@@ -131,6 +135,8 @@ def _cmd_sieve(args) -> int:
 
 
 def _cmd_admissible(args) -> int:
+    from .patterns import Pattern, is_admissible
+
     pattern = Pattern.parse(args.pattern)
     verdict = is_admissible(pattern)
     _emit_json(
@@ -145,6 +151,9 @@ def _cmd_admissible(args) -> int:
 
 
 def _cmd_selberg(args) -> int:
+    from .patterns import Pattern, is_admissible
+    from .selberg import selberg_constant
+
     pattern = Pattern.parse(args.pattern)
     result = selberg_constant(pattern, args.prime_limit)
     verdict = is_admissible(pattern)
@@ -162,6 +171,10 @@ def _cmd_selberg(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .asymptotics import loglog_power_product, predicted_tuple_count
+    from .patterns import Pattern, Requirements
+    from .selberg import selberg_constant
+
     pattern = Pattern.parse(args.pattern)
     requirements = Requirements.parse(args.k)
     if len(pattern) != len(requirements):
@@ -201,6 +214,9 @@ def _require_table(args, min_limit: int) -> tuple[OmegaTable, dict]:
 
 
 def _cmd_count(args) -> int:
+    from .census import CensusQuery, count_tuples
+    from .patterns import Pattern, Requirements
+
     pattern = Pattern.parse(args.pattern)
     requirements = Requirements.parse(args.k)
     query = CensusQuery(pattern, requirements, args.x, parity=args.parity, mode=args.mode)
@@ -223,6 +239,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from .calibration import PatternFamily, calibrate
+    from .patterns import Pattern, Requirements
+
     base = Pattern.parse(args.base)
     scales = tuple(int(part) for part in args.scales.split(","))
     family = PatternFamily(base, scales)
@@ -269,6 +288,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .calibration import TABLE_FAMILIES, family_presets, reproduce_tables
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     presets = family_presets()
@@ -319,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_cache_flags(p):
         p.add_argument("--cache", default=None, help=f"cache directory (default ${CACHE_ENV} or ~/.cache/aptuple)")
-        p.add_argument("--workers", type=int, default=1, help="threads for sieving and census scans")
+        p.add_argument("--workers", type=_parse_workers, default=1, help="threads for sieving and census scans")
 
     p = sub.add_parser("sieve", help="build and persist a factor-count table")
     p.add_argument("--limit", type=_parse_bound, required=True)

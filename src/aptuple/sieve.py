@@ -53,7 +53,6 @@ import mmap
 import os
 import struct
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -201,6 +200,10 @@ def build_omega_table(
     def sieve(span: tuple[int, int]) -> None:
         lo, hi = span
         values[lo + 1 : hi : 2] = _segment_omega(lo, hi, root)
+
+    # imported here: loading concurrent.futures (and logging with it) costs
+    # every process that only maps a cached table about 10 ms
+    from concurrent.futures import ThreadPoolExecutor
 
     # segments write disjoint slices of values, so the threads need no lock;
     # list() reads every result, so a segment that failed raises here

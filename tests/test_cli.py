@@ -200,7 +200,7 @@ def test_malformed_pattern_exit_code(capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(capsys, tmp_path):
     with pytest.raises(SystemExit) as info:
         cli.main(["no-such-command"])
     assert info.value.code == 2
@@ -216,6 +216,13 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["selberg", "--pattern", "0,2", "--json"])  # the no-op flag is gone
     assert info.value.code == 2
+    # a thread count below 1 is refused even when a warm cache needs no build
+    count = ["count", "--pattern", "0,2", "--k", "1,1", "--x", "1000", "--cache", str(tmp_path)]
+    assert run_cli(capsys, *count)[0] == 0
+    for workers in ("0", "-1"):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*count, "--workers", workers])
+        assert info.value.code == 2
 
 
 def test_float_formatting_seven_digits(capsys):

@@ -41,6 +41,21 @@ def test_primes_have_count_one(table_small):
     assert np.all(table_small.values[ps] == 1)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 9, 25, 10**6, 10**6 + 1])
+def test_primes_up_to_matches_plain_sieve(n):
+    plain = np.ones(n + 1, dtype=bool)
+    plain[:2] = False
+    for p in range(2, isqrt(n) + 1):
+        if plain[p]:
+            plain[p * p :: p] = False
+    primes = primes_up_to(n)
+    assert primes.dtype == np.int64
+    assert np.array_equal(primes, np.flatnonzero(plain))
+    if n >= 2:
+        assert primes is primes_up_to(n)  # cached, and read-only because shared
+        assert not primes.flags.writeable
+
+
 def test_complete_additivity(table_big):
     rng = random.Random(20260811)
     values = table_big.values
@@ -257,19 +272,6 @@ def test_load_checks_size_before_allocating(tmp_path):
     path.write_bytes(b"OMGA" + bytes([1]) + struct.pack("<Q", 2**60) + bytes(11))
     with pytest.raises(CacheCorruptionError):
         ap.load_table(path)
-
-
-def test_load_holds_one_copy(tmp_path):
-    path = tmp_path / "omega.bin"
-    ap.save_table(ap.build_omega_table(2**22), path)
-    tracemalloc.start()
-    try:
-        loaded = ap.load_table(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert loaded.limit == 2**22
-    assert peak < 1.1 * 2**22
 
 
 def test_loaded_table_is_read_only(tmp_path):
