@@ -130,8 +130,8 @@ def predicted_tuple_count(
     series is the singular-series value S of the pattern, m its length.
     """
     _check_x(x)
-    if correction <= 0:
-        raise ValueError(f"need correction > 0, got {correction}")
+    if not (math.isfinite(correction) and correction > 0):
+        raise ValueError(f"need a finite correction > 0, got {correction}")
     if series < 0:
         raise ValueError(f"need series >= 0, got {series}")
     m = len(requirements)

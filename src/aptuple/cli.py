@@ -79,6 +79,22 @@ def _parse_workers(text: str) -> int:
     return workers
 
 
+def _parse_segment_size(text: str) -> int:
+    """A sieve segment size, at least 2."""
+    size = _parse_bound(text)
+    if size < 2:
+        raise argparse.ArgumentTypeError(f"need segment size >= 2, got {size}")
+    return size
+
+
+def _parse_finite(text: str) -> float:
+    """A finite float; nan and inf would print as invalid JSON."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not finite")
+    return value
+
+
 def default_cache_dir() -> Path:
     override = os.environ.get(CACHE_ENV)
     if override:
@@ -116,6 +132,7 @@ def _cmd_sieve(args) -> int:
 
     started = time.perf_counter()
     table = build_omega_table(args.limit, segment_size=args.segment_size, workers=args.workers)
+    built = time.perf_counter()
     if args.out:
         path = Path(args.out)
     else:
@@ -123,12 +140,14 @@ def _cmd_sieve(args) -> int:
         cache.mkdir(parents=True, exist_ok=True)
         path = cache / CACHE_FILENAME
     save_table(table, path)
+    saved = time.perf_counter()
     _emit_json(
         {
             "limit": table.limit,
             "path": str(path),
             "bytes": table.limit + 14,
-            "elapsed": time.perf_counter() - started,
+            "elapsed": saved - started,
+            "timings": {"build_s": built - started, "save_s": saved - built},
         }
     )
     return 0
@@ -344,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", help="build and persist a factor-count table")
     p.add_argument("--limit", type=_parse_bound, required=True)
-    p.add_argument("--segment-size", type=_parse_bound, default=DEFAULT_SEGMENT_SIZE)
+    p.add_argument("--segment-size", type=_parse_segment_size, default=DEFAULT_SEGMENT_SIZE)
     p.add_argument("--out", default=None, help="explicit output path (default: cache)")
     add_cache_flags(p)
     p.set_defaults(func=_cmd_sieve)
@@ -362,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--x", type=_parse_bound, required=True)
-    p.add_argument("--correction", type=float, default=1.0)
+    p.add_argument("--correction", type=_parse_finite, default=1.0)
     p.add_argument("--prime-limit", type=_parse_bound, default=10**6)
     p.set_defaults(func=_cmd_predict)
 

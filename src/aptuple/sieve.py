@@ -1,15 +1,27 @@
 """Tables of Omega(n), the number of prime factors counted with multiplicity.
 
 The table is built by a segmented sieve over odd n only. Every odd base
-prime power q = p^j <= limit credits each odd multiple of q in the segment
-with one factor of p, which gives each n exactly the multiplicity of p, and
-with w_p = round(7 log2 p) log units. One packed uint16 add per prime power
-does both: the factor lands in the high byte, the log units in the low byte
-(an accumulator acc(n) that never carries, see below). Whatever the base
-primes leave unfactored is a single prime above sqrt(limit); instead of
-dividing it out, n gets its last factor when acc(n) falls well short of
-7 log2 n. Even entries come afterwards from Omega(2m) = Omega(m) + 1. One
-byte per value keeps a 10^9-entry table around 1 GB.
+prime power q = p^j <= limit (p <= sqrt(limit)) credits each odd multiple
+of q in the segment with one factor of p, which gives each n exactly the
+multiplicity of p, and with w_p = round(7 log2 p) log units. One packed
+uint16 add of 256 - w_p per prime power does both: the factor lands in the
+high byte, and the low byte counts the log units down from a start value
+(an accumulator acc(n) of at most 248, see below). Whatever the base primes
+leave unfactored is a single prime above sqrt(limit); instead of dividing
+it out, n gets its last factor when acc(n) falls well short of 7 log2 n,
+and the start value makes that test a borrow into the high byte, so the
+high byte is Omega(n) when the last credit lands. Even entries come
+afterwards from Omega(2m) = Omega(m) + 1. One byte per value keeps a
+10^9-entry table around 1 GB.
+
+Each table is sieved from one plan. The powers 3, 9, 27, 5, 25, 7, 11 and
+13 (those that are base prime powers <= limit) have credits periodic in
+the odd index i = (n - 1)/2 with period WHEEL = 3^3 5^2 7 11 13 = 675675,
+so their sum is built once as a template and a segment starts as one add
+of the template to its start values. Every other base prime power is one
+strided add per segment, from a first index computed for all of them in
+one numpy expression; a power at least as long as the segment has at most
+one odd multiple in it, and one scatter adds all of those.
 
 Why the threshold is exact. Let r = isqrt(limit), so every n <= limit is
 below (r + 1)^2 and has at most one prime factor P > r. Write
@@ -29,8 +41,22 @@ R >= 1, so n has a leftover prime exactly when D > theta.
 
 Why the accumulator cannot overflow. For odd n,
 acc(n) <= 7 log2 n + log3(n)/2 = 7.316 log2 n, which is below 256 while
-n < 2^34 (7.316 * 34 = 248.7); the factor count in the high byte is at most
-log3 n < 22. build_omega_table rejects limits of 2^34 and above.
+n < 2^34 (7.316 * 34 = 248.7), so acc(n) <= 248; the factor count in the
+high byte is at most log3 n < 22. build_omega_table rejects limits of 2^34
+and above.
+
+Why the borrow is exact. Let f be the number of base prime factors of n,
+so the credits sum to 256 f - acc(n), and let n start at
+B = 255 + max(k - theta, 0), where k = T(n); B depends only on k, and T is
+constant on runs of n, so a segment sets it one run at a time. The final
+entry is 256 f + B - acc(n), computed modulo 2^16 but exact, as it lies in
+[0, 2^16). With d = max(k - theta, 0) <= 7 * 34 - theta < 256 - 7 and
+0 <= acc(n) <= 248, the term B - acc(n) = 255 + d - acc(n) lies in
+[7, 511), so the high byte is f + 1 exactly when 255 + d - acc(n) >= 256,
+that is when acc(n) < d, and f otherwise. For k <= theta, d = 0 and
+acc(n) < 0 never holds; for k > theta, acc(n) < k - theta is D > theta,
+the leftover-prime test above. So the high byte is Omega(n), and it is
+copied straight into the table.
 
 Segments are sieved on threads that write their disjoint slices of the
 table in place. A cache file is a 13-byte header followed by the values.
@@ -63,7 +89,7 @@ from ._primes import primes_up_to
 MAGIC = b"OMGA"
 FORMAT_VERSION = 1
 HEADER_SIZE = 13  # magic, version byte, little-endian uint64 limit
-DEFAULT_SEGMENT_SIZE = 1 << 22
+DEFAULT_SEGMENT_SIZE = 1 << 21
 
 
 class CacheFormatError(Exception):
@@ -92,6 +118,7 @@ class OmegaTable:
 
 LOG_UNITS = 7  # accumulator units per bit of log2 n
 LIMIT_BOUND = 1 << 34  # limits must stay below this for the 8-bit log accumulator
+WHEEL = 3**3 * 5**2 * 7 * 11 * 13  # period, in odd indices, of the sieve template
 
 
 def _log_units_start(k: int) -> int:
@@ -104,41 +131,82 @@ def _log_units_start(k: int) -> int:
     return n
 
 
-def _segment_omega(lo: int, hi: int, root: int) -> np.ndarray:
-    """Factor counts for the odd n in [lo, hi); entry i holds n = lo + 2i + 1.
+@dataclass(frozen=True)
+class _SievePlan:
+    """What every segment of one table shares, built once per table.
 
-    lo must be even and hi <= (root + 1)^2, so that the primes up to root
-    leave at most one prime factor of each n unfound.
+    template holds the summed credits of the wheel powers (the base prime
+    powers dividing WHEEL) at global odd index i, n = 2i + 1, for i up to
+    a period plus one segment; powers holds every other base prime power,
+    ascending, and credits its 256 - w_p.
     """
+
+    theta: int
+    template: np.ndarray
+    powers: np.ndarray
+    credits: np.ndarray
+
+
+def _sieve_plan(limit: int, step: int) -> _SievePlan:
+    """The plan for a table of 0..limit sieved in segments of step numbers."""
+    root = math.isqrt(limit)
     primes = primes_up_to(root)[1:]
     weights = np.rint(LOG_UNITS * np.log2(primes)).astype(np.int64)
-    packed = np.zeros((hi - lo) // 2, dtype="<u2")
+    # every segment slices template[s % WHEEL :][: its odd count], and never
+    # past the odd count of the whole table
+    template = np.zeros(min(WHEEL + min(step, limit + 1) // 2, (limit + 1) // 2), dtype="<u2")
+    rest = []
     for p, w in zip(primes.tolist(), weights.tolist()):
-        credit = 256 + w  # one factor in the high byte, w log units in the low byte
         q = p
-        while q < hi:
-            first = -(-lo // q) * q
-            if not first & 1:
-                first += q
-            if first >= hi:
-                break
-            packed[(first - lo) >> 1 :: q] += credit
+        while q <= limit:
+            if WHEEL % q == 0:
+                template[(q - 1) >> 1 :: q] += 256 - w
+            else:
+                rest.append((q, 256 - w))
             q *= p
+    rest.sort()
+    return _SievePlan(
+        theta=int(LOG_UNITS / 2 * math.log2(root + 1)),
+        template=template,
+        powers=np.array([q for q, _ in rest], dtype=np.int64),
+        credits=np.array([credit for _, credit in rest], dtype="<u2"),
+    )
 
-    low_high = packed.view(np.uint8)
-    acc = low_high[0::2]
-    omega = np.ascontiguousarray(low_high[1::2])
-    theta = int(LOG_UNITS / 2 * math.log2(root + 1))
-    # n in [start(k), start(k + 1)) share the target T(n) = k
+
+def _segment_omega(lo: int, hi: int, plan: _SievePlan) -> np.ndarray:
+    """Factor counts for the odd n in [lo, hi); entry i holds n = lo + 2i + 1.
+
+    lo must be even and hi - 1 at most the plan's limit. The result is a
+    strided uint8 view of the high bytes of the segment's packed buffer.
+    """
+    size = (hi - lo) // 2
+    packed = np.empty(size, dtype="<u2")
+    s = (lo >> 1) % WHEEL
+    # n in [start(k), start(k + 1)) share the target T(n) = k, and start at
+    # 255 + max(k - theta, 0) plus their wheel credits (see the borrow proof)
     k = ((lo + 1) ** LOG_UNITS).bit_length() - 1
     begin = 0
-    while begin < len(omega):
-        end = min(len(omega), max(0, (_log_units_start(k + 1) - lo) >> 1))
-        if k > theta:
-            omega[begin:end] += acc[begin:end] < k - theta
+    while begin < size:
+        end = min(size, max(0, (_log_units_start(k + 1) - lo) >> 1))
+        base = 255 + max(k - plan.theta, 0)
+        np.add(plan.template[s + begin : s + end], base, out=packed[begin:end])
         begin = end
         k += 1
-    return omega
+
+    stop = np.searchsorted(plan.powers, hi)
+    powers, credits = plan.powers[:stop], plan.credits[:stop]
+    # the first odd multiple of q at or above lo is lo + ((q - lo) mod 2q)
+    firsts = ((powers - lo) % (2 * powers)) >> 1
+    split = np.searchsorted(powers, size)
+    for first, q, credit in zip(firsts[:split].tolist(), powers[:split].tolist(),
+                                credits[:split].tolist()):
+        packed[first::q] += credit
+    # a power of size or more has at most one odd multiple here; add.at
+    # adds them all at once, and adds twice where p^2 and p^3 share an n
+    firsts, credits = firsts[split:], credits[split:]
+    hit = firsts < size
+    np.add.at(packed, firsts[hit], credits[hit])
+    return packed.view(np.uint8)[1::2]
 
 
 def _fill_even(values: np.ndarray) -> None:
@@ -172,9 +240,9 @@ def build_omega_table(
         Numbers processed per segment, rounded down to even; affects memory
         and scheduling only, never the result.
     workers : int
-        Segments are sieved on this many threads, each writing its odd
-        entries straight into the table; numpy's strided adds release the
-        interpreter lock. The table is identical for any worker count.
+        Segments are sieved on this many threads (one worker sieves in
+        the calling thread), each writing its odd entries straight into
+        the table. The table is identical for any worker count.
 
     Raises
     ------
@@ -192,23 +260,27 @@ def build_omega_table(
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
 
-    root = math.isqrt(limit)
     values = np.zeros(limit + 1, dtype=np.uint8)
     step = segment_size & ~1
+    plan = _sieve_plan(limit, step)
     spans = [(lo, min(lo + step, limit + 1)) for lo in range(0, limit, step)]
 
     def sieve(span: tuple[int, int]) -> None:
         lo, hi = span
-        values[lo + 1 : hi : 2] = _segment_omega(lo, hi, root)
+        values[lo + 1 : hi : 2] = _segment_omega(lo, hi, plan)
 
-    # imported here: loading concurrent.futures (and logging with it) costs
-    # every process that only maps a cached table about 10 ms
-    from concurrent.futures import ThreadPoolExecutor
+    if workers == 1:
+        for span in spans:
+            sieve(span)
+    else:
+        # imported here: loading concurrent.futures (and logging with it)
+        # costs a process about 10 ms
+        from concurrent.futures import ThreadPoolExecutor
 
-    # segments write disjoint slices of values, so the threads need no lock;
-    # list() reads every result, so a segment that failed raises here
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(sieve, spans))
+        # segments write disjoint slices of values, so the threads need no
+        # lock; list() reads every result, so a segment that failed raises
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(sieve, spans))
 
     _fill_even(values)
     values.flags.writeable = False

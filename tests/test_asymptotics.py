@@ -124,8 +124,9 @@ def test_domain_errors():
         almost_prime_count_asymptotic(X7, 2, variant="total")
     with pytest.raises(ValueError):
         successor_ratio(99, 1)
-    with pytest.raises(ValueError):
-        predicted_tuple_count(1.0, Requirements((1, 2)), X7, correction=0.0)
+    for correction in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            predicted_tuple_count(1.0, Requirements((1, 2)), X7, correction=correction)
     with pytest.raises(ValueError):
         predicted_tuple_count(-1.0, Requirements((1, 2)), X7)
     with pytest.raises(ValueError):

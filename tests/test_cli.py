@@ -58,6 +58,8 @@ def test_sieve_writes_table(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["limit"] == 5000
     assert load_table(out_path).limit == 5000
+    assert set(doc["timings"]) == {"build_s", "save_s"}
+    assert all(t >= 0 for t in doc["timings"].values())
 
 
 def test_count_uses_and_reuses_cache(capsys, tmp_path):
@@ -213,6 +215,17 @@ def test_usage_error_exit_code(capsys, tmp_path):
             with pytest.raises(SystemExit) as info:
                 cli.main([command, "--pattern", "0,2", "--k", "1,1", "--x", bound])
             assert info.value.code == 2
+    # a non-finite correction would print NaN, which is not JSON
+    for correction in ("nan", "inf", "-inf"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["predict", "--pattern", "0,2", "--k", "1,1", "--x", "1e6",
+                      "--correction", correction])
+        assert info.value.code == 2
+    for size in ("1", "0", "-4", "inf"):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["sieve", "--limit", "100", "--segment-size", size, "--out", str(tmp_path / "t.bin")])
+        assert info.value.code == 2
+    assert not (tmp_path / "t.bin").exists()
     with pytest.raises(SystemExit) as info:
         cli.main(["selberg", "--pattern", "0,2", "--json"])  # the no-op flag is gone
     assert info.value.code == 2

@@ -13,11 +13,13 @@ from aptuple import sieve
 from aptuple._primes import primes_up_to, trial_division_omega
 from aptuple.sieve import (
     DEFAULT_SEGMENT_SIZE,
+    LIMIT_BOUND,
     CacheCorruptionError,
     CacheFormatError,
     OmegaTable,
     TableBoundError,
     _segment_omega,
+    _sieve_plan,
 )
 
 
@@ -90,8 +92,11 @@ def test_worker_determinism():
 
 
 @pytest.mark.parametrize("reload", [False, True])
-@pytest.mark.parametrize("segment_size", [2, 3, 999, DEFAULT_SEGMENT_SIZE])
-@pytest.mark.parametrize("limit", [2, 3, 9_999, 10_000])
+# 1 << 22 and the default each sieve every limit here in one segment
+@pytest.mark.parametrize("segment_size", [2, 3, 999, 1 << 22, DEFAULT_SEGMENT_SIZE])
+# 26: 27 is above the limit and 7, 11, 13 above the root (leftover primes);
+# 168 and 169: 13 is just above and at the root; 676: every wheel power is in
+@pytest.mark.parametrize("limit", [2, 3, 26, 168, 169, 676, 9_999, 10_000])
 def test_odd_sieve_matches_oracle(tmp_path, limit, segment_size, reload):
     table = ap.build_omega_table(limit, segment_size=segment_size)
     if reload:
@@ -105,13 +110,24 @@ def test_odd_sieve_matches_oracle(tmp_path, limit, segment_size, reload):
 def test_high_segment_near_1e9():
     lo = 10**9 - (1 << 17)
     hi = lo + (1 << 17)
-    root = isqrt(hi)
-    omega = _segment_omega(lo, hi, root)
+    omega = _segment_omega(lo, hi, _sieve_plan(10**9, 1 << 17))
     assert omega.shape == (1 << 16,)
     rng = random.Random(20261018)
     for i in rng.sample(range(len(omega)), 200):
         n = lo + 2 * i + 1
         assert omega[i] == trial_division_omega(n), n
+
+
+@pytest.mark.parametrize("n", [LIMIT_BOUND - 1, 7**12, 3**21])
+def test_high_segments_near_the_bound(n):
+    # the 2^17 segment ending at n, in a table of the largest allowed limit:
+    # the largest accumulators, and a prime power of 7 or 3 far above the wheel
+    lo, hi = n + 1 - (1 << 17), n + 1
+    omega = _segment_omega(lo, hi, _sieve_plan(LIMIT_BOUND - 1, 1 << 17))
+    rng = random.Random(n)
+    for i in [len(omega) - 1, *rng.sample(range(len(omega)), 200)]:
+        m = lo + 2 * i + 1
+        assert omega[i] == trial_division_omega(m), m
 
 
 PINNED_1E7 = "7b765029b469010d067444bba577535a1a2675ff970ae0b3e57a040466ae9ca1"
@@ -127,6 +143,29 @@ def test_pinned_table_hashes(tmp_path, limit, reload, digest):
         ap.save_table(table, tmp_path / "omega.bin")
         table = ap.load_table(tmp_path / "omega.bin")
     assert hashlib.sha256(table.values).hexdigest() == digest
+
+
+@pytest.mark.parametrize("workers, segment_size", [
+    (2, DEFAULT_SEGMENT_SIZE),
+    # segments of 500001 odd entries start at shifting points of the
+    # 675675-entry wheel period, so template slices wrap it
+    (1, 1_000_002),
+    (2, 1_000_002),
+])
+def test_pinned_hash_for_workers_and_segments(workers, segment_size):
+    table = ap.build_omega_table(10**7, segment_size=segment_size, workers=workers)
+    assert hashlib.sha256(table.values).hexdigest() == PINNED_1E7
+
+
+def test_huge_segment_allocates_by_the_table():
+    tracemalloc.start()
+    try:
+        table = ap.build_omega_table(10**6, segment_size=10**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert table.values[999_983] == 1 and table.values[2**19] == 19
 
 
 def test_build_argument_errors():

@@ -102,3 +102,16 @@ def test_cli_sets_blas_threads_only_by_default(preset, want):
         **env,
     )
     assert got == {"blas": want, "numpy": True}
+
+
+def test_single_worker_sieve_starts_no_pool(tmp_path):
+    argv = ["sieve", "--limit", "1e5", "--workers", "1", "--out", str(tmp_path / "t.bin")]
+    got = fresh(
+        "import contextlib, io, json, sys\n"
+        "from aptuple import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+    )
+    assert got["code"] == 0
+    assert "concurrent.futures" not in got["modules"]
