@@ -50,7 +50,7 @@ _EXPORTS = {
         "selberg_constant",
         "triple_constant_closed_form",
     ),
-    "sieve": ("OmegaTable", "build_omega_table", "load_table", "save_table"),
+    "sieve": ("OmegaTable", "build_omega_table", "load_table", "save_table", "write_omega_table"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -23,7 +23,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Each command imports the layers it runs, so `selberg` or `predict` never
 # loads the census or calibration code; main and the parser need only these.
-from .sieve import DEFAULT_SEGMENT_SIZE, CacheCorruptionError, CacheFormatError  # noqa: E402
+from .sieve import CacheCorruptionError, CacheFormatError  # noqa: E402
 
 if TYPE_CHECKING:
     from .sieve import OmegaTable
@@ -112,9 +112,11 @@ def ensure_table(
     """Load the cached table if it covers min_limit, else rebuild and persist.
 
     Rebuilds round the limit up to the next power of two so subsequent
-    queries at nearby bounds reuse the same file.
+    queries at nearby bounds reuse the same file, but never past the
+    largest limit the sieve accepts. A rebuild streams the table into the
+    cache file and then maps it, so it never holds the table in memory.
     """
-    from .sieve import build_omega_table, load_table, save_table
+    from .sieve import LIMIT_BOUND, load_table, write_omega_table
 
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / CACHE_FILENAME
@@ -122,32 +124,32 @@ def ensure_table(
         table = load_table(path)
         if table.limit >= min_limit:
             return table, path, False
-    table = build_omega_table(_next_power_of_two(min_limit), workers=workers)
-    save_table(table, path)
-    return table, path, True
+    limit = max(min_limit, min(_next_power_of_two(min_limit), LIMIT_BOUND - 1))
+    write_omega_table(limit, path, workers=workers)
+    return load_table(path), path, True
 
 
 def _cmd_sieve(args) -> int:
-    from .sieve import build_omega_table, save_table
+    from .sieve import write_omega_table
 
-    started = time.perf_counter()
-    table = build_omega_table(args.limit, segment_size=args.segment_size, workers=args.workers)
-    built = time.perf_counter()
     if args.out:
         path = Path(args.out)
     else:
         cache = default_cache_dir() if args.cache is None else Path(args.cache)
         cache.mkdir(parents=True, exist_ok=True)
         path = cache / CACHE_FILENAME
-    save_table(table, path)
-    saved = time.perf_counter()
+    started = time.perf_counter()
+    rename_s = write_omega_table(
+        args.limit, path, segment_size=args.segment_size, workers=args.workers
+    )
+    elapsed = time.perf_counter() - started
     _emit_json(
         {
-            "limit": table.limit,
+            "limit": args.limit,
             "path": str(path),
-            "bytes": table.limit + 14,
-            "elapsed": saved - started,
-            "timings": {"build_s": built - started, "save_s": saved - built},
+            "bytes": args.limit + 14,
+            "elapsed": elapsed,
+            "timings": {"build_s": elapsed - rename_s, "save_s": rename_s},
         }
     )
     return 0
@@ -363,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", help="build and persist a factor-count table")
     p.add_argument("--limit", type=_parse_bound, required=True)
-    p.add_argument("--segment-size", type=_parse_segment_size, default=DEFAULT_SEGMENT_SIZE)
+    p.add_argument("--segment-size", type=_parse_segment_size, default=None,
+                   help="numbers per sieve segment (default: from the limit)")
     p.add_argument("--out", default=None, help="explicit output path (default: cache)")
     add_cache_flags(p)
     p.set_defaults(func=_cmd_sieve)

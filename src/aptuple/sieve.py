@@ -10,8 +10,9 @@ high byte, and the low byte counts the log units down from a start value
 leave unfactored is a single prime above sqrt(limit); instead of dividing
 it out, n gets its last factor when acc(n) falls well short of 7 log2 n,
 and the start value makes that test a borrow into the high byte, so the
-high byte is Omega(n) when the last credit lands. Even entries come
-afterwards from Omega(2m) = Omega(m) + 1. One byte per value keeps a
+high byte is Omega(n) when the last credit lands. The low byte then
+takes Omega(n - 1) from Omega(2m) = Omega(m) + 1, and the buffer read as
+bytes is the segment's stretch of the table. One byte per value keeps a
 10^9-entry table around 1 GB.
 
 Each table is sieved from one plan. The powers 3, 9, 27, 5, 25, 7, 11 and
@@ -55,16 +56,34 @@ entry is 256 f + B - acc(n), computed modulo 2^16 but exact, as it lies in
 [7, 511), so the high byte is f + 1 exactly when 255 + d - acc(n) >= 256,
 that is when acc(n) < d, and f otherwise. For k <= theta, d = 0 and
 acc(n) < 0 never holds; for k > theta, acc(n) < k - theta is D > theta,
-the leftover-prime test above. So the high byte is Omega(n), and it is
-copied straight into the table.
+the leftover-prime test above. So the high byte is Omega(n).
 
-Segments are sieved on threads that write their disjoint slices of the
-table in place. A cache file is a 13-byte header followed by the values.
-load_table maps it read-only instead of copying it: processes that load
-one file share its page-cache pages, and each process's RSS counts only
-the pages it touches. Truncating a mapped file in place would make later
-reads raise SIGBUS; save_table never does that, since it writes a new file
-(mkstemp) and renames it over the old one (os.replace).
+Why a finished segment is final bytes. Entry i of the packed buffer of a
+segment [lo, hi), lo even, holds n = lo + 2i + 1 in its high byte. In
+little-endian order its low byte comes first, at byte 2i, the place of the
+even n - 1 = lo + 2i, so once every low byte holds Omega(lo + 2i) the
+buffer's bytes are values[lo:hi] in order (for odd hi - lo the buffer has
+one more entry, whose low byte is the last even value and whose high byte,
+n = hi, is cut off). For lo > 0, lo is a multiple of the segment length L
+and hi <= lo + L <= 2 lo, so every even n in [lo, hi) has n/2 < lo: its
+half lies in a segment finished earlier, and clearing the low bytes and
+or-ing in values[lo/2 : (hi + 1)/2] + 1 completes the segment. The first
+segment is its own source: values[0] = 0, the sieve gives Omega(1) = 0,
+and doubling the block [a, 2a) fills the even entries of [2a, 4a), whose
+halves are final by then. So the table is one ordered stream of finished
+blocks. build_omega_table copies them into memory; write_omega_table
+appends them to the cache file and reads each segment's halves back from
+the bytes it has written, so it holds O(segment) memory at any limit.
+With more than one worker, threads sieve the packed buffers of the next
+segments while the calling thread completes and writes them in order, and
+at most `workers` segments are in flight.
+
+A cache file is a 13-byte header followed by the values. load_table maps
+it read-only instead of copying it: processes that load one file share its
+page-cache pages, and each process's RSS counts only the pages it touches.
+Truncating a mapped file in place would make later reads raise SIGBUS;
+the writers never do that, since they write a new file (mkstemp) and
+rename it over the old one (os.replace).
 
 This module only builds, saves and loads tables, and a table (so a cache
 file) always holds Omega(n); counting in one is the census module's job.
@@ -74,11 +93,14 @@ Conventions: values[0] = values[1] = 0 (empty product).
 
 from __future__ import annotations
 
+import errno
 import math
 import mmap
 import os
 import struct
 import tempfile
+import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,7 +111,7 @@ from ._primes import primes_up_to
 MAGIC = b"OMGA"
 FORMAT_VERSION = 1
 HEADER_SIZE = 13  # magic, version byte, little-endian uint64 limit
-DEFAULT_SEGMENT_SIZE = 1 << 21
+DEFAULT_SEGMENT_SIZE = 1 << 21  # the default below limit 13108^2 (about 1.7e8), the floor above
 
 
 class CacheFormatError(Exception):
@@ -173,14 +195,14 @@ def _sieve_plan(limit: int, step: int) -> _SievePlan:
     )
 
 
-def _segment_omega(lo: int, hi: int, plan: _SievePlan) -> np.ndarray:
-    """Factor counts for the odd n in [lo, hi); entry i holds n = lo + 2i + 1.
+def _segment_omega(lo: int, hi: int, plan: _SievePlan, packed: np.ndarray) -> np.ndarray:
+    """Sieve [lo, hi) into packed and return it; entry i's high byte is Omega(lo + 2i + 1).
 
-    lo must be even and hi - 1 at most the plan's limit. The result is a
-    strided uint8 view of the high bytes of the segment's packed buffer.
+    lo must be even, hi - 1 at most the plan's limit, and packed a "<u2"
+    array of (hi - lo + 1) // 2 entries; its low bytes, and the high byte
+    of the extra entry an odd hi - lo adds, are left for _omega_blocks.
     """
     size = (hi - lo) // 2
-    packed = np.empty(size, dtype="<u2")
     s = (lo >> 1) % WHEEL
     # n in [start(k), start(k + 1)) share the target T(n) = k, and start at
     # 255 + max(k - theta, 0) plus their wheel credits (see the borrow proof)
@@ -206,11 +228,11 @@ def _segment_omega(lo: int, hi: int, plan: _SievePlan) -> np.ndarray:
     firsts, credits = firsts[split:], credits[split:]
     hit = firsts < size
     np.add.at(packed, firsts[hit], credits[hit])
-    return packed.view(np.uint8)[1::2]
+    return packed
 
 
 def _fill_even(values: np.ndarray) -> None:
-    """Set every even entry from its half once the odd entries are final.
+    """Set every even entry of a table prefix from its half once the odd entries are final.
 
     Omega(2m) = Omega(m) + 1. Doubling the block [a, 2a) fills the even
     entries of [2a, 4a), whose halves are all final by then, and writes in
@@ -224,9 +246,94 @@ def _fill_even(values: np.ndarray) -> None:
         a = b
 
 
+def _default_segment_size(limit: int) -> int:
+    """The smallest power of two that is at least 2^21 and at least 160 isqrt(limit).
+
+    A segment loops in Python over every base prime power below it, so
+    from limit 13108^2 (about 1.7e8) on the segment grows with sqrt(limit)
+    to keep that loop's share of the cost per entry flat; below, it is
+    DEFAULT_SEGMENT_SIZE. At 1e9 this gives 2^23, which streamed the table
+    in 5.3-5.9 s against 7.2-7.8 s at 2^21 (2 vCPUs, 3 runs each).
+    """
+    return max(DEFAULT_SEGMENT_SIZE, 1 << (160 * math.isqrt(limit) - 1).bit_length())
+
+
+def _check_build(limit: int, segment_size: int | None, workers: int) -> int:
+    """Validate the build arguments; returns the segment size, derived if None."""
+    if limit < 2:
+        raise ValueError(f"need limit >= 2, got {limit}")
+    if limit >= LIMIT_BOUND:
+        raise ValueError(f"need limit < 2**34 for the log accumulator, got {limit}")
+    if segment_size is None:
+        segment_size = _default_segment_size(limit)
+    if segment_size < 2:
+        raise ValueError(f"need segment_size >= 2, got {segment_size}")
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
+    return segment_size
+
+
+def _packed_segments(spans: list[tuple[int, int]], plan: _SievePlan, workers: int):
+    """Yield the packed buffer of each span in order, with at most `workers` in flight.
+
+    The spans share `workers` buffers, so a yielded buffer is overwritten
+    once the next one is asked for.
+    """
+    first_lo, first_hi = spans[0]  # the longest span
+    buffers = [np.empty((first_hi - first_lo + 1) // 2, dtype="<u2")
+               for _ in range(min(workers, len(spans)))]
+
+    def sieve(i: int) -> np.ndarray:
+        lo, hi = spans[i]
+        return _segment_omega(lo, hi, plan, buffers[i % len(buffers)][: (hi - lo + 1) // 2])
+
+    if workers == 1:
+        for i in range(len(spans)):
+            yield sieve(i)
+        return
+    # imported here: loading concurrent.futures (and logging with it)
+    # costs a process about 10 ms
+    from concurrent.futures import ThreadPoolExecutor
+
+    # Executor.map would submit every span at once; here span i + workers
+    # is submitted only once span i's buffer has been consumed
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        pending = deque(pool.submit(sieve, i) for i in range(len(buffers)))
+        for i in range(len(buffers), len(spans) + len(buffers)):
+            yield pending.popleft().result()
+            if i < len(spans):
+                pending.append(pool.submit(sieve, i))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _omega_blocks(limit: int, segment_size: int, workers: int, halves):
+    """Yield values[lo:hi] of the table for consecutive segments, as uint8 arrays.
+
+    halves(a, b) returns values[a:b], and is only asked for entries below
+    the lo of the block being made, all in blocks yielded before. A yielded
+    block is a view of a reused buffer, valid until the next one is asked
+    for.
+    """
+    step = segment_size & ~1
+    plan = _sieve_plan(limit, step)
+    spans = [(lo, min(lo + step, limit + 1)) for lo in range(0, limit + 1, step)]
+    for (lo, hi), packed in zip(spans, _packed_segments(spans, plan, workers)):
+        block = packed.view(np.uint8)[: hi - lo]
+        if lo == 0:
+            block[0] = 0
+            _fill_even(block)
+        else:
+            # low byte of entry i: Omega(lo + 2i) = Omega(lo/2 + i) + 1
+            packed &= 0xFF00
+            packed |= halves(lo >> 1, (hi + 1) >> 1) + 1
+        yield block
+
+
 def build_omega_table(
     limit: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    segment_size: int | None = None,
     workers: int = 1,
 ) -> OmegaTable:
     """Build the table of Omega(n), with multiplicity, for 0..limit by segmented sieving.
@@ -236,13 +343,14 @@ def build_omega_table(
     limit : int
         Inclusive upper bound, 2 <= limit < 2^34 (the range in which the
         log accumulator is proven exact, see the module docstring).
-    segment_size : int
+    segment_size : int, optional
         Numbers processed per segment, rounded down to even; affects memory
-        and scheduling only, never the result.
+        and speed only, never the result. By default the smallest power of
+        two that is at least 2^21 and at least 160 isqrt(limit).
     workers : int
-        Segments are sieved on this many threads (one worker sieves in
-        the calling thread), each writing its odd entries straight into
-        the table. The table is identical for any worker count.
+        Threads that sieve segments ahead of the calling thread, which
+        completes them in order (one worker sieves in the calling thread).
+        The table is identical for any worker count.
 
     Raises
     ------
@@ -251,40 +359,107 @@ def build_omega_table(
     MemoryError
         If the table cannot be allocated; no partial table is returned.
     """
-    if limit < 2:
-        raise ValueError(f"need limit >= 2, got {limit}")
-    if limit >= LIMIT_BOUND:
-        raise ValueError(f"need limit < 2**34 for the log accumulator, got {limit}")
-    if segment_size < 2:
-        raise ValueError(f"need segment_size >= 2, got {segment_size}")
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
-
-    values = np.zeros(limit + 1, dtype=np.uint8)
-    step = segment_size & ~1
-    plan = _sieve_plan(limit, step)
-    spans = [(lo, min(lo + step, limit + 1)) for lo in range(0, limit, step)]
-
-    def sieve(span: tuple[int, int]) -> None:
-        lo, hi = span
-        values[lo + 1 : hi : 2] = _segment_omega(lo, hi, plan)
-
-    if workers == 1:
-        for span in spans:
-            sieve(span)
-    else:
-        # imported here: loading concurrent.futures (and logging with it)
-        # costs a process about 10 ms
-        from concurrent.futures import ThreadPoolExecutor
-
-        # segments write disjoint slices of values, so the threads need no
-        # lock; list() reads every result, so a segment that failed raises
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(sieve, spans))
-
-    _fill_even(values)
+    segment_size = _check_build(limit, segment_size, workers)
+    values = np.empty(limit + 1, dtype=np.uint8)
+    lo = 0
+    for block in _omega_blocks(limit, segment_size, workers, lambda a, b: values[a:b]):
+        values[lo : lo + len(block)] = block
+        lo += len(block)
     values.flags.writeable = False
     return OmegaTable(limit=limit, values=values)
+
+
+def _header(limit: int) -> bytes:
+    return MAGIC + bytes([FORMAT_VERSION]) + struct.pack("<Q", limit)
+
+
+def _write_all(fd: int, data) -> None:
+    """Write every byte of data at the file position; os.write may write fewer."""
+    view = memoryview(data).cast("B")
+    while view:
+        view = view[os.write(fd, view) :]
+
+
+def _read_into(fd: int, buf: np.ndarray, offset: int) -> None:
+    """Fill the uint8 array buf from the file bytes at offset; os.preadv may read fewer."""
+    view = memoryview(buf)
+    while view:
+        got = os.preadv(fd, [view], offset)
+        if got == 0:
+            raise CacheCorruptionError(f"file ended at byte {offset} while reading back")
+        view, offset = view[got:], offset + got
+
+
+def _publish(path: Path, write) -> float:
+    """Run write(fd) on a new temporary file beside path, then rename it over path.
+
+    A uniquely named file (mkstemp) means concurrent writers never share a
+    file, and the rename (os.replace) means readers see either the old
+    table or the new one. On any exception the temporary file is removed
+    and path is left as it was. Returns the seconds the rename took.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        try:
+            write(fd)
+        finally:
+            os.close(fd)
+        started = time.perf_counter()
+        os.replace(tmp, path)
+        return time.perf_counter() - started
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def write_omega_table(
+    limit: int,
+    path: str | Path,
+    segment_size: int | None = None,
+    workers: int = 1,
+) -> float:
+    """Sieve the table of 0..limit straight into a cache file at path.
+
+    The file is byte-for-byte what save_table(build_omega_table(limit), path)
+    writes, but the table is never held: each finished segment is appended
+    to a temporary file, and the halves its even entries need are read back
+    from the bytes already written, so memory stays O(segment) at any
+    limit. The arguments mean what they mean for build_omega_table.
+    Returns the seconds the final rename took.
+
+    Raises
+    ------
+    ValueError
+        For arguments out of range, before anything is written.
+    OSError
+        ENOSPC if the file system has less free space than the file needs,
+        checked before anything is written; any error writing the file.
+        No temporary file is left behind, and path is left as it was.
+    """
+    segment_size = _check_build(limit, segment_size, workers)
+    path = Path(path)
+    size = HEADER_SIZE + limit + 1
+    stat = os.statvfs(path.parent)
+    free = stat.f_bavail * stat.f_frsize
+    if free < size:
+        raise OSError(errno.ENOSPC, f"a table of limit {limit} needs {size} bytes, "
+                                    f"{path.parent} has {free} free")
+
+    def write(fd: int) -> None:
+        _write_all(fd, _header(limit))
+
+        def halves(a: int, b: int) -> np.ndarray:
+            buf = np.empty(b - a, dtype=np.uint8)
+            _read_into(fd, buf, HEADER_SIZE + a)
+            return buf
+
+        for block in _omega_blocks(limit, segment_size, workers, halves):
+            _write_all(fd, block)
+        found = os.fstat(fd).st_size
+        if found != size:
+            raise CacheCorruptionError(f"{path}: wrote {found} bytes, expected {size}")
+
+    return _publish(path, write)
 
 
 def save_table(table: OmegaTable, path: str | Path) -> None:
@@ -295,22 +470,16 @@ def save_table(table: OmegaTable, path: str | Path) -> None:
     readers see either the old table or the new one. The payload is written
     straight from the array's buffer.
     """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(bytes([FORMAT_VERSION]))
-            fh.write(struct.pack("<Q", table.limit))
-            fh.write(memoryview(np.ascontiguousarray(table.values)))
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+
+    def write(fd: int) -> None:
+        _write_all(fd, _header(table.limit))
+        _write_all(fd, np.ascontiguousarray(table.values))
+
+    _publish(Path(path), write)
 
 
 def load_table(path: str | Path) -> OmegaTable:
-    """Map a table written by save_table read-only; round-trips byte-for-byte.
+    """Map a table written by save_table or write_omega_table read-only; round-trips byte-for-byte.
 
     The header and the file size are checked before anything is mapped.
     The values are then a read-only view of a shared mapping of the file,
@@ -318,9 +487,10 @@ def load_table(path: str | Path) -> OmegaTable:
     page-cache pages, loading costs no read of the payload, and a process's
     RSS grows only by the pages its queries touch. The mapping lives as
     long as the array. Truncating the file in place while it is mapped
-    would make reads of the lost pages raise SIGBUS; save_table never does
-    that, because it writes a new file and renames it over the old one, so
-    a table loaded earlier keeps reading the old file's pages.
+    would make reads of the lost pages raise SIGBUS; save_table and
+    write_omega_table never do that, because they write a new file and
+    rename it over the old one, so a table loaded earlier keeps reading the
+    old file's pages.
     """
     path = Path(path)
     with open(path, "rb") as fh:

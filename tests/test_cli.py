@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from aptuple import cli
-from aptuple.sieve import load_table
+import aptuple as ap
+from aptuple import cli, sieve
+from aptuple.sieve import LIMIT_BOUND, load_table
 
 
 def run_cli(capsys, *argv):
@@ -243,3 +245,67 @@ def test_float_formatting_seven_digits(capsys):
     assert code == 0
     value = json.loads(out)["value"]
     assert value == float(f"{value:.7g}")
+
+
+def _record_builds(monkeypatch) -> list:
+    """Replace the table writer by one that records the limit and writes a small table."""
+    built = []
+
+    def record(limit, path, **kwargs):
+        built.append(limit)
+        ap.save_table(ap.build_omega_table(1000), path)
+        return 0.0
+
+    monkeypatch.setattr(sieve, "write_omega_table", record)
+    return built
+
+
+@pytest.mark.parametrize("min_limit, limit", [
+    (1000, 1024), (2**33, 2**33), (2**33 + 1, LIMIT_BOUND - 1), (10**10, LIMIT_BOUND - 1),
+    (LIMIT_BOUND - 1, LIMIT_BOUND - 1),
+])
+def test_rebuild_rounds_up_within_the_sieve_bound(tmp_path, monkeypatch, min_limit, limit):
+    built = _record_builds(monkeypatch)
+    _, path, rebuilt = cli.ensure_table(min_limit, tmp_path)
+    assert built == [limit] and rebuilt and path == tmp_path / "omega.bin"
+
+
+def test_count_past_2_33_builds_below_the_bound(capsys, tmp_path, monkeypatch):
+    built = _record_builds(monkeypatch)
+    code, _, err = run_cli(capsys, "count", "--pattern", "0,2", "--k", "1,1", "--x", "1e10",
+                           "--cache", str(tmp_path))
+    assert built == [LIMIT_BOUND - 1]
+    # the recorded build wrote a table of 1000, too short for the count
+    assert code == 1 and json.loads(err)["error"] == "TableBoundError"
+
+
+def test_rebuild_past_the_bound_fails_before_writing(tmp_path):
+    with pytest.raises(ValueError, match="2\\*\\*34"):
+        cli.ensure_table(LIMIT_BOUND, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sieve_on_a_full_disk_exits_1_and_leaves_nothing(capsys, tmp_path, monkeypatch):
+    full = SimpleNamespace(f_bavail=4096, f_frsize=4096)
+    monkeypatch.setattr(sieve.os, "statvfs", lambda path: full)
+    out = tmp_path / "out"
+    out.mkdir()
+    code, stdout, err = run_cli(capsys, "sieve", "--limit", "1e8", "--out", str(out / "t.bin"))
+    assert code == 1 and stdout == ""
+    doc = json.loads(err)
+    assert doc["error"] == "OSError"
+    assert "100000014" in doc["message"] and str(4096 * 4096) in doc["message"]
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sieve_streams_the_saved_bytes(capsys, tmp_path, workers):
+    path = tmp_path / "t.bin"
+    code, out, _ = run_cli(capsys, "sieve", "--limit", "123457", "--segment-size", "1000",
+                           "--workers", workers, "--out", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc) == {"limit", "path", "bytes", "elapsed", "timings"}
+    assert doc["bytes"] == path.stat().st_size == 123457 + 14
+    ap.save_table(ap.build_omega_table(123457), tmp_path / "saved.bin")
+    assert path.read_bytes() == (tmp_path / "saved.bin").read_bytes()

@@ -1,9 +1,11 @@
+import errno
 import hashlib
 import multiprocessing
 import random
 import struct
 import tracemalloc
 from math import isqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from aptuple.sieve import (
     CacheCorruptionError,
     CacheFormatError,
     OmegaTable,
+    WHEEL,
     TableBoundError,
     _segment_omega,
     _sieve_plan,
@@ -110,7 +113,8 @@ def test_odd_sieve_matches_oracle(tmp_path, limit, segment_size, reload):
 def test_high_segment_near_1e9():
     lo = 10**9 - (1 << 17)
     hi = lo + (1 << 17)
-    omega = _segment_omega(lo, hi, _sieve_plan(10**9, 1 << 17))
+    plan = _sieve_plan(10**9, 1 << 17)
+    omega = _segment_omega(lo, hi, plan, np.empty(1 << 16, "<u2")) >> 8
     assert omega.shape == (1 << 16,)
     rng = random.Random(20261018)
     for i in rng.sample(range(len(omega)), 200):
@@ -123,7 +127,8 @@ def test_high_segments_near_the_bound(n):
     # the 2^17 segment ending at n, in a table of the largest allowed limit:
     # the largest accumulators, and a prime power of 7 or 3 far above the wheel
     lo, hi = n + 1 - (1 << 17), n + 1
-    omega = _segment_omega(lo, hi, _sieve_plan(LIMIT_BOUND - 1, 1 << 17))
+    plan = _sieve_plan(LIMIT_BOUND - 1, 1 << 17)
+    omega = _segment_omega(lo, hi, plan, np.empty(1 << 16, "<u2")) >> 8
     rng = random.Random(n)
     for i in [len(omega) - 1, *rng.sample(range(len(omega)), 200)]:
         m = lo + 2 * i + 1
@@ -404,3 +409,128 @@ def test_replaced_file_leaves_earlier_load_intact(tmp_path):
     ap.save_table(ap.build_omega_table(20_000), path)
     assert np.array_equal(earlier.values, old.values)
     assert ap.load_table(path).limit == 20_000
+
+
+def _saved_bytes(path, limit):
+    """The cache file save_table writes for the in-memory table of limit."""
+    ap.save_table(ap.build_omega_table(limit), path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_streamed_file_equals_saved_table_small(tmp_path, workers):
+    for limit in [*range(2, 61), 99, 100, 101]:
+        want = _saved_bytes(tmp_path / "saved.bin", limit)
+        for segment_size in (2, 3, 999, None):
+            path = tmp_path / "streamed.bin"
+            ap.write_omega_table(limit, path, segment_size=segment_size, workers=workers)
+            assert path.read_bytes() == want, (limit, segment_size)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("segment_size", [999, None])
+# 2 WHEEL + 7: segments of 999 wrap the template period many times
+@pytest.mark.parametrize("limit", [2 * WHEEL + 7, 10**5, 10**5 + 1])
+def test_streamed_file_equals_saved_table(tmp_path, limit, segment_size, workers):
+    path = tmp_path / "streamed.bin"
+    ap.write_omega_table(limit, path, segment_size=segment_size, workers=workers)
+    assert path.read_bytes() == _saved_bytes(tmp_path / "saved.bin", limit)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pinned_hash_through_the_writer(tmp_path, workers):
+    path = tmp_path / "omega.bin"
+    ap.write_omega_table(10**7, path, workers=workers)
+    assert hashlib.sha256(ap.load_table(path).values).hexdigest() == PINNED_1E7
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_streamed_build_holds_segments_not_the_table(tmp_path, workers):
+    # the 32 MiB table in 16 segments of 2^21: the plan's template (3.3 MiB)
+    # and `workers` segment buffers of 2 MiB each, never the table
+    tracemalloc.start()
+    try:
+        ap.write_omega_table(2**25, tmp_path / "omega.bin", workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    assert (tmp_path / "omega.bin").stat().st_size == 2**25 + 14
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_stream_leaves_cache_intact(tmp_path, monkeypatch, workers):
+    path = tmp_path / "omega.bin"
+    before = _saved_bytes(path, 10_000)
+    sieve_segment = sieve._segment_omega
+
+    def failing(lo, hi, plan, packed):
+        if lo >= 30_000:
+            raise RuntimeError("segment failed")
+        return sieve_segment(lo, hi, plan, packed)
+
+    monkeypatch.setattr(sieve, "_segment_omega", failing)
+    with pytest.raises(RuntimeError, match="segment failed"):
+        ap.write_omega_table(100_000, path, segment_size=1_000, workers=workers)
+    assert [p.name for p in tmp_path.iterdir()] == ["omega.bin"]
+    assert path.read_bytes() == before
+
+
+def test_mapped_table_survives_streamed_replace(tmp_path):
+    path = tmp_path / "omega.bin"
+    ap.save_table(OmegaTable(limit=10_000, values=np.full(10_001, 7, dtype=np.uint8)), path)
+    earlier = ap.load_table(path)
+    ap.write_omega_table(10_000, path)
+    assert np.all(earlier.values == 7)
+    assert np.array_equal(ap.load_table(path).values, ap.build_omega_table(10_000).values)
+
+
+def _stream_repeatedly(path, limit, rounds, start):
+    start.wait(timeout=60)
+    for _ in range(rounds):
+        ap.write_omega_table(limit, path, segment_size=1 << 14)
+
+
+def test_concurrent_streams_to_one_cache(tmp_path):
+    path = tmp_path / "omega.bin"
+    ctx = multiprocessing.get_context("spawn")
+    start = ctx.Barrier(3)
+    writers = [
+        ctx.Process(target=_stream_repeatedly, args=(path, 200_000, 5, start))
+        for _ in range(3)
+    ]
+    for proc in writers:
+        proc.start()
+    for proc in writers:
+        proc.join(timeout=120)
+    assert all(not proc.is_alive() and proc.exitcode == 0 for proc in writers)
+    assert np.array_equal(ap.load_table(path).values, ap.build_omega_table(200_000).values)
+    assert [p.name for p in tmp_path.iterdir()] == ["omega.bin"]
+
+
+def test_stream_fails_early_on_a_full_disk(tmp_path, monkeypatch):
+    free = SimpleNamespace(f_bavail=100_013, f_frsize=1)  # one byte short of limit 10^5
+    monkeypatch.setattr(sieve.os, "statvfs", lambda path: free)
+    with pytest.raises(OSError) as info:
+        ap.write_omega_table(10**5, tmp_path / "omega.bin")
+    assert info.value.errno == errno.ENOSPC
+    assert "100014" in str(info.value) and "100013" in str(info.value)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stream_argument_errors_write_nothing(tmp_path):
+    for kwargs in ({"limit": 1}, {"limit": 2**34}, {"limit": 100, "segment_size": 1},
+                   {"limit": 100, "workers": 0}):
+        with pytest.raises(ValueError):
+            ap.write_omega_table(path=tmp_path / "omega.bin", **kwargs)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("limit, size", [
+    (2, 1 << 21), (2**27, 1 << 21), (13108**2 - 1, 1 << 21), (13108**2, 1 << 22),
+    (2**28, 1 << 22), (10**9, 1 << 23),
+    (LIMIT_BOUND - 1, 1 << 25),
+])
+def test_default_segment_size_grows_with_the_root(limit, size):
+    # the smallest power of two >= max(2^21, 160 isqrt(limit))
+    assert sieve._default_segment_size(limit) == size

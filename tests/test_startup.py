@@ -17,7 +17,8 @@ import aptuple
 
 SRC = Path(aptuple.__file__).resolve().parents[1]
 
-# Every name the package exported when its __init__ imported each module.
+# Every name the package exported when its __init__ imported each module,
+# and the names added since.
 EXPORTED = (
     "EULER_GAMMA", "LANDAU_C1", "LANDAU_C2", "almost_prime_count_asymptotic",
     "predicted_tuple_count", "successor_ratio",
@@ -28,7 +29,7 @@ EXPORTED = (
     "is_admissible", "primorial", "residues_mod_p", "scale_pattern",
     "TWIN_PRIME_C2", "SelbergResult", "pair_constant_closed_form", "primorial_pattern_table",
     "selberg_constant", "triple_constant_closed_form",
-    "OmegaTable", "build_omega_table", "load_table", "save_table",
+    "OmegaTable", "build_omega_table", "load_table", "save_table", "write_omega_table",
 )
 
 
