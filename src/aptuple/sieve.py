@@ -279,9 +279,9 @@ def _packed_segments(spans: list[tuple[int, int]], plan: _SievePlan, workers: in
     The spans share `workers` buffers, so a yielded buffer is overwritten
     once the next one is asked for.
     """
-    first_lo, first_hi = spans[0]  # the longest span
-    buffers = [np.empty((first_hi - first_lo + 1) // 2, dtype="<u2")
-               for _ in range(min(workers, len(spans)))]
+    # the first span, [0, hi), is the longest
+    length = (spans[0][1] + 1) // 2
+    buffers = [np.empty(length, dtype="<u2") for _ in range(min(workers, len(spans)))]
 
     def sieve(i: int) -> np.ndarray:
         lo, hi = spans[i]
@@ -300,10 +300,11 @@ def _packed_segments(spans: list[tuple[int, int]], plan: _SievePlan, workers: in
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         pending = deque(pool.submit(sieve, i) for i in range(len(buffers)))
-        for i in range(len(buffers), len(spans) + len(buffers)):
+        for i in range(len(buffers), len(spans)):
             yield pending.popleft().result()
-            if i < len(spans):
-                pending.append(pool.submit(sieve, i))
+            pending.append(pool.submit(sieve, i))
+        while pending:
+            yield pending.popleft().result()
     finally:
         pool.shutdown(cancel_futures=True)
 
