@@ -31,7 +31,14 @@ _EXPORTS = {
         "reproduce_tables",
         "symmetry_report",
     ),
-    "census": ("CensusQuery", "CensusResult", "count_demands", "count_tuples", "k_histogram"),
+    "census": (
+        "CensusQuery",
+        "CensusResult",
+        "count_demands",
+        "count_patterns",
+        "count_tuples",
+        "k_histogram",
+    ),
     "patterns": (
         "AdmissibilityVerdict",
         "Pattern",

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from ._primes import distinct_prime_factors
 from .asymptotics import loglog_power_product, predicted_tuple_count
-from .census import count_demands
+from .census import count_demands, count_patterns
 from .patterns import (
     Pattern,
     Requirements,
@@ -58,6 +58,9 @@ class PatternFamily:
             raise ValueError("family needs at least one scale")
         if any(c < 1 for c in self.scales):
             raise ValueError(f"scales must be >= 1, got {self.scales}")
+        if len(set(self.scales)) < len(self.scales):
+            # a member censused twice would fake agreement in the spread
+            raise ValueError(f"scales must be distinct, got {self.scales}")
         verdict = is_admissible(self.base)
         if not verdict.admissible:
             raise ValueError(
@@ -120,7 +123,7 @@ def calibrate_all(
 ) -> list[CalibrationReport]:
     """Estimate the correction factor for each requirement vector over a family.
 
-    Every member is censused once at x for all the vectors together; the
+    One scan at x counts every member for all the vectors together; the
     shared theoretical count uses the base pattern's series value, which
     the members are verified to share before any counting happens.
     """
@@ -144,11 +147,9 @@ def calibrate_all(
                 f"theoretical count {theoretical:.1f} below {MIN_THEORETICAL_COUNT:.0f}"
             )
 
-    counts = [
-        count_demands(table, member, requirement_list, x,
-                      parity=parity, mode=mode, workers=workers)
-        for member in members
-    ]
+    counts = count_patterns(
+        table, members, requirement_list, x, parity=parity, mode=mode, workers=workers
+    )
     reports = []
     for j, (requirements, theoretical) in enumerate(zip(requirement_list, theoreticals)):
         per_member = []

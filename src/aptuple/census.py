@@ -2,14 +2,16 @@
 
 Counts the n <= x (odd by default) for which every n + h_i carries exactly
 (or at most) its demanded number of prime factors. One scan serves every
-demand vector of a pattern: the range of tuple starts is cut into
-cache-sized blocks, each distinct (position, demand) test is evaluated
-once per block into a preallocated mask, and each vector ANDs its masks
-and counts. For odd n the block's odd entries (and, for odd offsets, its
-even entries) are first gathered into contiguous buffers, so every test
-reads a unit-stride slice. Nothing is allocated inside the block loop.
-Block partials combine by integer addition, so any block size or worker
-count yields the same totals.
+demand vector of every pattern given, so a whole pattern family costs one
+pass: the range of tuple starts is cut into cache-sized blocks, each
+distinct (offset, demand) test is evaluated once per block into one bool
+scratch and packed into a row of uint64 words, and each (pattern, vector)
+row ANDs its words and counts their bits. For odd n the block's odd
+entries (and, for odd offsets, its even entries) are first split out of a
+little-endian uint16 view of the block, so every test reads a unit-stride
+slice. Buffers are allocated once per range; inside the block loop only
+packbits allocates, W/8 bytes per test. Block partials combine by integer
+addition, so any block size or worker count yields the same totals.
 
 A single position needs no scan per k: k_histogram bins the whole range
 once and gives the count of every Omega value.
@@ -62,42 +64,46 @@ class CensusResult:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Distinct (offset, demand) tests grouped by offset, and each vector's tests."""
+    """Distinct (offset, demand) tests grouped by offset, and each row's tests."""
 
     groups: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     rows: tuple[tuple[int, ...], ...]
     n_tests: int
 
 
-def _plan(pattern: Pattern, vectors: Sequence[Requirements], mode: str) -> _Plan:
+def _plan(rows: Sequence[Sequence[tuple[int, int]]], mode: str) -> _Plan:
+    """Index the distinct tests of rows of (offset, demand) pairs."""
     index: dict[tuple[int, int], int] = {}
-    rows = []
-    for requirements in vectors:
+    planned = []
+    for pairs in rows:
         row = []
-        for h, k in zip(pattern.offsets, requirements.demands):
+        for h, k in pairs:
             if mode == "atmost":
                 # tested as w - 1 < k on uint8; every w >= 1 passes at k = 255
                 k = min(k, 255)
             row.append(index.setdefault((h, k), len(index)))
-        rows.append(tuple(row))
+        planned.append(tuple(row))
     by_offset: dict[int, list[tuple[int, int]]] = {}
     for (h, k), t in index.items():
         by_offset.setdefault(h, []).append((t, k))
     groups = tuple((h, tuple(tests)) for h, tests in sorted(by_offset.items()))
-    return _Plan(groups=groups, rows=tuple(rows), n_tests=len(index))
+    return _Plan(groups=groups, rows=tuple(planned), n_tests=len(index))
 
 
 def _count_range(
     values: np.ndarray, plan: _Plan, odd: bool, exact: bool, lo: int, hi: int
 ) -> list[int]:
-    """Per-vector counts over the tuple-start indices [lo, hi).
+    """Per-row counts over the tuple-start indices [lo, hi).
 
     Index s stands for n = 2s + 1 when odd, for n = s otherwise. All
     buffers are allocated here, once, and owned by the calling thread.
     """
     width = min(BLOCK, hi - lo)
-    masks = np.empty((plan.n_tests, width), dtype=bool)
-    acc = np.empty(width, dtype=bool)
+    words = -(-width // 64)
+    bits = np.zeros(64 * words, dtype=bool)  # bits past a block's starts stay False
+    masks = np.empty((plan.n_tests, words), dtype=np.uint64)
+    acc = np.empty(words, dtype=np.uint64)
+    ones = np.empty(words, dtype=np.uint8)
     shifted = np.empty(width, dtype=np.uint8)
     # projection b holds values[2(s + i) + 1 + b]: odd n at b = 0, n + 1 at b = 1,
     # so offset h reads projection h & 1 from index h >> 1
@@ -109,33 +115,101 @@ def _count_range(
     totals = [0] * len(plan.rows)
     for start in range(lo, hi, width):
         n = min(width, hi - start)
+        used = -(-n // 64)
+        bits[n:] = False
         if odd:
+            # pair i of the little-endian uint16 view holds values[2(s + i)] in its
+            # low byte and values[2(s + i) + 1] in its high byte: projection 0 is
+            # the high byte of pair i, projection 1 the low byte of pair i + 1
+            first = 2 * start
+            stop = min(first + 2 * max(n + halo + b for b, halo in halos.items()), len(values))
+            pairs = values[first : stop - (stop - first) % 2].view("<u2")
             for b, buf in projections.items():
-                first = 2 * start + 1 + b
                 length = n + halos[b]
-                np.copyto(buf[:length], values[first : first + 2 * length - 1 : 2])
+                if b == 0:
+                    np.right_shift(pairs[:length], 8, out=buf[:length], casting="unsafe")
+                    continue
+                paired = min(length, len(pairs) - 1)
+                np.bitwise_and(pairs[1 : 1 + paired], 0xFF, out=buf[:paired], casting="unsafe")
+                if paired < length:  # an even limit's last entry has no partner byte
+                    buf[paired] = values[first + 2 * paired + 2]
         for h, tests in plan.groups:
             if odd:
                 window = projections[h & 1][h >> 1 : (h >> 1) + n]
             else:
                 window = values[start + h : start + h + n]
-            if exact:
-                for t, k in tests:
-                    np.equal(window, k, out=masks[t, :n])
-            else:
+            if not exact:
                 # w - 1 < k  <=>  1 <= w <= k, since w = 0 wraps to 255
                 np.subtract(window, 1, out=shifted[:n])
-                for t, k in tests:
-                    np.less(shifted[:n], k, out=masks[t, :n])
+            for t, k in tests:
+                if exact:
+                    np.equal(window, k, out=bits[:n])
+                else:
+                    np.less(shifted[:n], k, out=bits[:n])
+                masks[t, :used] = np.packbits(bits[: 64 * used], bitorder="little").view(np.uint64)
         for v, row in enumerate(plan.rows):
             if len(row) == 1:
-                totals[v] += int(np.count_nonzero(masks[row[0], :n]))
-                continue
-            np.logical_and(masks[row[0], :n], masks[row[1], :n], out=acc[:n])
-            for t in row[2:]:
-                np.logical_and(acc[:n], masks[t, :n], out=acc[:n])
-            totals[v] += int(np.count_nonzero(acc[:n]))
+                np.bitwise_count(masks[row[0], :used], out=ones[:used])
+            else:
+                np.bitwise_and(masks[row[0], :used], masks[row[1], :used], out=acc[:used])
+                for t in row[2:]:
+                    np.bitwise_and(acc[:used], masks[t, :used], out=acc[:used])
+                np.bitwise_count(acc[:used], out=ones[:used])
+            totals[v] += int(ones[:used].sum())
     return totals
+
+
+def count_patterns(
+    table: OmegaTable,
+    patterns: Sequence[Pattern],
+    demand_vectors: Sequence[Requirements],
+    x: int,
+    parity: str = "odd",
+    mode: str = "exact",
+    workers: int = 1,
+) -> tuple[tuple[int, ...], ...]:
+    """Count n in [1, x] for every pattern and demand vector, all in one scan.
+
+    Returns one tuple of counts per pattern, one count per vector, in
+    order. Tests the patterns share, such as (0, k), are evaluated once.
+    The table must cover x plus the largest offset of any pattern so every
+    tuple element is evaluated; anything less raises rather than silently
+    truncating the range. With workers > 1 the range is split into
+    contiguous chunks, one thread and buffer set each.
+    """
+    for pattern in patterns:
+        for requirements in demand_vectors:
+            CensusQuery(pattern, requirements, x, parity=parity, mode=mode)
+    needed = x + max((pattern.max_offset for pattern in patterns), default=0)
+    if needed > table.limit:
+        raise TableBoundError(
+            f"census needs table limit >= {needed}, have {table.limit}"
+        )
+    if not demand_vectors:
+        return tuple(() for _ in patterns)
+    plan = _plan(
+        [list(zip(p.offsets, r.demands)) for p in patterns for r in demand_vectors], mode
+    )
+    odd = parity == "odd"
+    lo, hi = (0, (x + 1) // 2) if odd else (1, x + 1)
+
+    def count(span: tuple[int, int]) -> list[int]:
+        return _count_range(table.values, plan, odd, mode == "exact", *span)
+
+    blocks = -(-(hi - lo) // BLOCK)
+    chunks = min(workers, blocks)
+    if chunks <= 1:
+        totals = count((lo, hi))
+    else:
+        per_chunk = -(-blocks // chunks) * BLOCK
+        spans = [(a, min(a + per_chunk, hi)) for a in range(lo, hi, per_chunk)]
+        from concurrent.futures import ThreadPoolExecutor  # only threaded scans pay its import
+
+        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+            partials = list(pool.map(count, spans))
+        totals = [sum(column) for column in zip(*partials)]
+    per = len(demand_vectors)
+    return tuple(tuple(totals[i : i + per]) for i in range(0, len(totals), per))
 
 
 def count_demands(
@@ -149,38 +223,9 @@ def count_demands(
 ) -> tuple[int, ...]:
     """Count n in [1, x] meeting each demand vector, all in one scan.
 
-    Returns one count per vector, in order. The table must cover
-    x + h_max so every tuple element is evaluated; anything less raises
-    rather than silently truncating the range. With workers > 1 the range
-    is split into contiguous chunks, one thread and buffer set each.
+    The one-pattern case of count_patterns: one count per vector, in order.
     """
-    for requirements in demand_vectors:
-        CensusQuery(pattern, requirements, x, parity=parity, mode=mode)
-    needed = x + pattern.max_offset
-    if needed > table.limit:
-        raise TableBoundError(
-            f"census needs table limit >= {needed}, have {table.limit}"
-        )
-    if not demand_vectors:
-        return ()
-    plan = _plan(pattern, demand_vectors, mode)
-    odd = parity == "odd"
-    lo, hi = (0, (x + 1) // 2) if odd else (1, x + 1)
-
-    def count(span: tuple[int, int]) -> list[int]:
-        return _count_range(table.values, plan, odd, mode == "exact", *span)
-
-    blocks = -(-(hi - lo) // BLOCK)
-    chunks = min(workers, blocks)
-    if chunks <= 1:
-        return tuple(count((lo, hi)))
-    per_chunk = -(-blocks // chunks) * BLOCK
-    spans = [(a, min(a + per_chunk, hi)) for a in range(lo, hi, per_chunk)]
-    from concurrent.futures import ThreadPoolExecutor  # only threaded scans pay its import
-
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        partials = list(pool.map(count, spans))
-    return tuple(sum(column) for column in zip(*partials))
+    return count_patterns(table, [pattern], demand_vectors, x, parity, mode, workers)[0]
 
 
 def k_histogram(table: OmegaTable, x: int, parity: str = "all") -> np.ndarray:

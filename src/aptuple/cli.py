@@ -262,7 +262,9 @@ def _cmd_count(args) -> int:
 def _cmd_calibrate(args) -> int:
     from .calibration import PatternFamily, calibrate
     from .patterns import Pattern, Requirements
+    from .selberg import _check_prime_limit
 
+    _check_prime_limit(args.prime_limit)  # before the table is built
     base = Pattern.parse(args.base)
     scales = tuple(int(part) for part in args.scales.split(","))
     family = PatternFamily(base, scales)
@@ -310,7 +312,9 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_tables(args) -> int:
     from .calibration import TABLE_FAMILIES, family_presets, reproduce_tables
+    from .selberg import _check_prime_limit
 
+    _check_prime_limit(args.prime_limit)  # before the table is built
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     presets = family_presets()

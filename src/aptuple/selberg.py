@@ -14,6 +14,7 @@ twin-prime constant C2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,10 @@ from .patterns import Pattern, primorial
 
 # Twin-prime constant prod_{p>2} (1 - 1/(p-1)^2), 17 digits.
 TWIN_PRIME_C2 = 0.66016181584686957
+
+# Largest prime_limit accepted: a series at 1e9 already peaks near 0.9 GB of RSS.
+PRIME_LIMIT_BOUND = 10**9
+GENERIC_CHUNK = 1 << 20  # primes per generic-product step; bounds its float temporaries
 
 
 @dataclass(frozen=True)
@@ -111,36 +116,76 @@ def _residue_counts(pattern: Pattern, primes: np.ndarray) -> np.ndarray:
     return nu
 
 
+def _check_prime_limit(prime_limit: int) -> None:
+    """Reject a prime bound whose sieve and prime array would not fit in memory."""
+    if prime_limit > PRIME_LIMIT_BOUND:
+        raise ValueError(
+            f"prime_limit {prime_limit} exceeds the bound {PRIME_LIMIT_BOUND}"
+        )
+
+
+def _factors(nu, p: np.ndarray, m: int) -> np.ndarray:
+    """(1 - nu_p/p)(1 - 1/p)^(-m) per prime p, as a log for m >= 4."""
+    if m < 4:
+        return (1.0 - nu / p) * (1.0 - 1.0 / p) ** (-m)
+    return np.log1p(-nu / p) - m * np.log1p(-1.0 / p)
+
+
+def _combine(factors: np.ndarray, m: int) -> float:
+    """Product of _factors output, or the sum of its logs for m >= 4."""
+    return float(np.prod(factors)) if m < 4 else float(np.sum(factors))
+
+
+@functools.lru_cache(maxsize=64)
+def _generic_product(m: int, prime_limit: int) -> float:
+    """_combine of the generic factors (nu_p = m) over primes m < p <= prime_limit.
+
+    Every pattern of length m shares these factors beyond its largest
+    offset, so a process works them out once per (m, prime_limit), in
+    chunks that keep the float temporaries small at any limit.
+    """
+    primes = primes_up_to(prime_limit)
+    first = int(np.searchsorted(primes, m, side="right"))
+    parts = [
+        _combine(_factors(m, primes[lo : lo + GENERIC_CHUNK].astype(np.float64), m), m)
+        for lo in range(first, len(primes), GENERIC_CHUNK)
+    ]
+    return math.prod(parts) if m < 4 else math.fsum(parts)
+
+
 def selberg_constant(pattern: Pattern, prime_limit: int = 10**6) -> SelbergResult:
     """Evaluate S(H) over all primes p <= prime_limit.
 
     Primes up to max(m, h_max) get their residue count computed directly,
     all in one vectorized pass; beyond that all offsets are distinct mod p
-    and nu_p = m. Accumulation switches to log space for m >= 4, where
-    factors drift far from 1.
+    and nu_p = m, so those factors come from the per-process generic
+    product over m < p <= prime_limit, with the ones already counted
+    directly divided out. Accumulation switches to log space for m >= 4,
+    where factors drift far from 1.
     """
     m = len(pattern)
     if prime_limit < m:
         raise ValueError(f"prime_limit {prime_limit} must be >= pattern length {m}")
+    _check_prime_limit(prime_limit)
 
     primes = primes_up_to(prime_limit)
     included = int(primes[-1]) if len(primes) else 0
     if m == 1:
         # every factor is (1 - 1/p)(1 - 1/p)^(-1) = 1, no truncation error
         return SelbergResult(1.0, included, 0.0, admissible=True)
-    direct_cutoff = max(m, pattern.max_offset)
 
-    split = int(np.searchsorted(primes, direct_cutoff, side="right"))
-    nu = np.full(len(primes), m, dtype=np.int64)
-    nu[:split] = _residue_counts(pattern, primes[:split])
-    if np.any(nu[:split] == primes[:split]):
+    direct = primes[: int(np.searchsorted(primes, max(m, pattern.max_offset), side="right"))]
+    nu = _residue_counts(pattern, direct)
+    if np.any(nu == direct):
         return SelbergResult(0.0, included, 0.0, admissible=False)
 
-    p = primes.astype(np.float64)
-    if m < 4:
-        value = float(np.prod((1.0 - nu / p) * (1.0 - 1.0 / p) ** (-m)))
-    else:
-        value = math.exp(float(np.sum(np.log1p(-nu / p) - m * np.log1p(-1.0 / p))))
+    p = direct.astype(np.float64)
+    total = _combine(_factors(nu, p, m), m)
+    if len(direct) < len(primes):
+        generic = _generic_product(m, prime_limit)
+        counted = _combine(_factors(m, p[p > m], m), m)
+        total = total * generic / counted if m < 4 else total + generic - counted
+    value = total if m < 4 else math.exp(total)
 
     return SelbergResult(
         value=value,
@@ -163,6 +208,7 @@ def pair_constant_closed_form(n: int) -> float:
 
 def triple_constant_closed_form(prime_limit: int = 10**6) -> float:
     """S({0,2,6}) = 9/2 * prod_{p >= 5} (1 - (3p-1)/(p-1)^3), truncated."""
+    _check_prime_limit(prime_limit)
     primes = primes_up_to(prime_limit).astype(np.float64)
     primes = primes[primes >= 5]
     log_total = float(np.sum(np.log1p(-(3.0 * primes - 1.0) / (primes - 1.0) ** 3)))
@@ -171,6 +217,7 @@ def triple_constant_closed_form(prime_limit: int = 10**6) -> float:
 
 def twin_prime_constant_truncated(prime_limit: int) -> float:
     """prod_{2 < p <= P} (1 - 1/(p-1)^2); converges to C2 from above like 1/(P log P)."""
+    _check_prime_limit(prime_limit)
     primes = primes_up_to(prime_limit).astype(np.float64)
     primes = primes[primes > 2]
     return float(np.exp(np.sum(np.log1p(-1.0 / (primes - 1.0) ** 2))))

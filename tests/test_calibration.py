@@ -34,6 +34,14 @@ def test_family_rejects_new_primes():
     PatternFamily(Pattern((0, 6, 12)), (2, 3, 6, 12))  # support {2, 3} is fine
 
 
+def test_family_rejects_repeated_scales():
+    # the same member twice would fake a zero spread
+    with pytest.raises(ValueError, match="distinct"):
+        PatternFamily(Pattern((0, 2)), (2, 2))
+    with pytest.raises(ValueError, match="distinct"):
+        PatternFamily(Pattern((0, 2, 6)), (1, 2, 4, 1))
+
+
 def test_family_rejects_inadmissible_base():
     with pytest.raises(ValueError):
         PatternFamily(Pattern((0, 2, 4, 6, 8)), (1, 2))

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import random
 import sys
@@ -9,11 +10,12 @@ import pytest
 import aptuple as ap
 from aptuple import census
 from aptuple._primes import trial_division_omega
-from aptuple.census import CensusQuery, count_demands, count_tuples
+from aptuple.census import CensusQuery, count_demands, count_patterns, count_tuples
 from aptuple.patterns import Pattern, Requirements
 from aptuple.sieve import OmegaTable, TableBoundError
 
 X7 = 10**7
+_omega = functools.lru_cache(maxsize=None)(trial_division_omega)
 
 
 def _brute_force(pattern, demands, x, parity, mode):
@@ -23,7 +25,7 @@ def _brute_force(pattern, demands, x, parity, mode):
     for n in range(start, x + 1, step):
         ok = True
         for h, k in zip(pattern.offsets, demands):
-            w = trial_division_omega(n + h)
+            w = _omega(n + h)
             if (mode == "exact" and w != k) or (mode == "atmost" and not 1 <= w <= k):
                 ok = False
                 break
@@ -190,6 +192,50 @@ def test_small_blocks_match_oracle(table_small, monkeypatch, parity, mode):
             for workers in (1, 2, 3):
                 got = count_demands(table_small, pattern, vectors, x, parity, mode, workers)
                 assert got == want, (pattern, x, workers)
+
+
+def _random_family(rng, m):
+    """Three patterns of length m, the widest with an odd largest offset."""
+    patterns = []
+    for width in (41, 23, 16):
+        inner = rng.sample(range(1, width), m - 2) if m > 2 else []
+        offsets = (0, *inner, width) if m > 1 else (0,)
+        patterns.append(Pattern(offsets))
+    return patterns
+
+
+@pytest.mark.parametrize("block", [64, 100])
+@pytest.mark.parametrize("parity", ["odd", "all"])
+@pytest.mark.parametrize("mode", ["exact", "atmost"])
+def test_pattern_scan_matches_per_pattern_and_oracle(monkeypatch, block, parity, mode):
+    # blocks of 64 and 100 starts leave partial blocks and padded words; the
+    # tables end exactly at x + h_max, so an even limit leaves an unpaired byte
+    monkeypatch.setattr(census, "BLOCK", block)
+    rng = random.Random(f"{block}-{parity}-{mode}")
+    for limit in (1500, 1501):
+        table = ap.build_omega_table(limit)
+        for m in (1, 2, 3):
+            patterns = _random_family(rng, m)
+            x = limit - max(p.max_offset for p in patterns)
+            vectors = [
+                Requirements(tuple(rng.choice((1, 2, 3, 255, 300)) for _ in range(m)))
+                for _ in range(3)
+            ]
+            # the demands met by the widest pattern's tuple at n = x, which ends at the limit
+            last = tuple(_omega(x + h) for h in patterns[0].offsets)
+            vectors += [Requirements((1,) * m), Requirements(last)]
+            want = tuple(
+                tuple(_brute_force(p, v.demands, x, parity, mode) for v in vectors)
+                for p in patterns
+            )
+            for workers in (1, 2, 3):
+                got = count_patterns(table, patterns, vectors, x, parity, mode, workers)
+                assert got == want, (patterns, limit, workers)
+                assert got == tuple(
+                    count_demands(table, p, vectors, x, parity, mode, workers) for p in patterns
+                )
+            with pytest.raises(TableBoundError):
+                count_patterns(table, patterns, vectors, x + 1, parity, mode)
 
 
 def test_count_demands_matches_count_tuples(table_big):

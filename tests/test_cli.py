@@ -309,3 +309,34 @@ def test_sieve_streams_the_saved_bytes(capsys, tmp_path, workers):
     assert doc["bytes"] == path.stat().st_size == 123457 + 14
     ap.save_table(ap.build_omega_table(123457), tmp_path / "saved.bin")
     assert path.read_bytes() == (tmp_path / "saved.bin").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["selberg", "--pattern", "0,2"],
+    ["predict", "--pattern", "0,2", "--k", "1,1", "--x", "1e6"],
+    ["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1", "--x", "1e4", "--cache", "cache"],
+    ["tables", "--x", "1e4", "--cache", "cache", "--out", "out"],
+])
+def test_huge_prime_limit_exits_1_before_any_work(capsys, tmp_path, monkeypatch, argv):
+    from aptuple import selberg
+
+    def refuse(n):
+        raise AssertionError(f"primes_up_to({n}) was called")
+
+    monkeypatch.setattr(selberg, "primes_up_to", refuse)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--prime-limit", "1e10")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and str(selberg.PRIME_LIMIT_BOUND) in doc["message"]
+    assert not (tmp_path / "cache").exists()
+
+
+def test_calibrate_rejects_repeated_scales(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "calibrate", "--base", "0,2", "--scales", "2,2", "--k", "1,1",
+        "--x", "1e4", "--cache", str(tmp_path / "cache"),
+    )
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "distinct" in doc["message"]

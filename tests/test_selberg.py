@@ -2,12 +2,16 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 
+from aptuple import selberg
 from aptuple._primes import primes_up_to
 from aptuple.patterns import Pattern, scale_pattern
 from aptuple.selberg import (
+    PRIME_LIMIT_BOUND,
     TWIN_PRIME_C2,
+    _generic_product,
     pair_constant_closed_form,
     primorial_pattern_table,
     selberg_constant,
@@ -187,3 +191,69 @@ def test_offsets_beyond_64_bits():
     n = 2 * 10**20 + 2 * 1000003
     result = selberg_constant(Pattern((0, n)), PRIME_LIMIT)
     assert abs(result.value - pair_constant_closed_form(n)) <= result.tail_bound
+
+
+def _full_array_value(pattern, prime_limit):
+    """S(H) with nu_p worked out for every prime, the product taken in one array."""
+    primes = primes_up_to(prime_limit)
+    m = len(pattern)
+    nu = np.array([len({h % p for h in pattern.offsets}) for p in primes.tolist()])
+    p = primes.astype(np.float64)
+    if m < 4:
+        return float(np.prod((1.0 - nu / p) * (1.0 - 1.0 / p) ** (-m)))
+    return math.exp(float(np.sum(np.log1p(-nu / p) - m * np.log1p(-1.0 / p))))
+
+
+def test_cached_generic_product_matches_the_full_array():
+    from aptuple.patterns import is_admissible
+
+    rng = random.Random(5512)
+    cases = 0
+    while cases < 40:
+        m = rng.randrange(2, 7)
+        limit = rng.choice([10**3, 10**4, 3 * 10**4])
+        # offsets up to 2 * limit, so some patterns reach past the prime limit
+        width = rng.choice([60, 2 * limit])
+        pattern = Pattern((0, *rng.sample(range(2, width + 1, 2), m - 1)))
+        if not is_admissible(pattern).admissible:
+            continue
+        cases += 1
+        want = _full_array_value(pattern, limit)
+        got = selberg_constant(pattern, limit).value
+        assert abs(got - want) <= 1e-12 * want, (pattern, limit)
+
+
+def test_wide_patterns_skip_the_generic_cache():
+    _generic_product.cache_clear()
+    pattern = Pattern((0, 2, 6, 1202))
+    value = selberg_constant(pattern, 1000).value
+    assert _generic_product.cache_info().currsize == 0
+    assert abs(value - _full_array_value(pattern, 1000)) <= 1e-12 * value
+
+
+def test_values_do_not_depend_on_call_order():
+    patterns = [Pattern(offsets) for offsets in ((0, 2), (0, 2, 6), (0, 4, 6, 10), (0, 2, 6, 8, 12))]
+    runs = []
+    for limits in ((10**4, 10**5), (10**5, 10**4)):
+        _generic_product.cache_clear()
+        values = {}
+        for limit in limits:
+            for pattern in patterns:
+                values[pattern, limit] = selberg_constant(pattern, limit).value
+        runs.append(values)
+    assert runs[0] == runs[1]
+
+
+def test_huge_prime_limit_fails_before_sieving(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"primes_up_to({n}) was called")
+
+    monkeypatch.setattr(selberg, "primes_up_to", refuse)
+    for call in (
+        lambda: selberg_constant(Pattern((0, 2)), PRIME_LIMIT_BOUND + 1),
+        lambda: selberg_constant(Pattern((0, 2)), 10**10),
+        lambda: triple_constant_closed_form(10**10),
+        lambda: twin_prime_constant_truncated(10**10),
+    ):
+        with pytest.raises(ValueError, match=str(PRIME_LIMIT_BOUND)):
+            call()

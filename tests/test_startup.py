@@ -24,7 +24,8 @@ EXPORTED = (
     "predicted_tuple_count", "successor_ratio",
     "CalibrationReport", "PatternFamily", "calibrate", "calibrate_all",
     "estimate_correction_via_ratio", "family_presets", "reproduce_tables", "symmetry_report",
-    "CensusQuery", "CensusResult", "count_demands", "count_tuples", "k_histogram",
+    "CensusQuery", "CensusResult", "count_demands", "count_patterns", "count_tuples",
+    "k_histogram",
     "AdmissibilityVerdict", "Pattern", "Requirements", "distance_gcd_prime_support",
     "is_admissible", "primorial", "residues_mod_p", "scale_pattern",
     "TWIN_PRIME_C2", "SelbergResult", "pair_constant_closed_form", "primorial_pattern_table",
