@@ -14,9 +14,6 @@ import importlib
 
 _EXPORTS = {
     "asymptotics": (
-        "EULER_GAMMA",
-        "LANDAU_C1",
-        "LANDAU_C2",
         "almost_prime_count_asymptotic",
         "predicted_tuple_count",
         "successor_ratio",
@@ -34,7 +31,6 @@ _EXPORTS = {
     "census": (
         "CensusQuery",
         "CensusResult",
-        "count_demands",
         "count_patterns",
         "count_tuples",
         "k_histogram",

@@ -19,7 +19,7 @@ from typing import Sequence
 
 from ._primes import distinct_prime_factors
 from .asymptotics import loglog_power_product, predicted_tuple_count
-from .census import count_demands, count_patterns
+from .census import count_patterns
 from .patterns import (
     Pattern,
     Requirements,
@@ -61,20 +61,22 @@ class PatternFamily:
         if len(set(self.scales)) < len(self.scales):
             # a member censused twice would fake agreement in the spread
             raise ValueError(f"scales must be distinct, got {self.scales}")
+        if len(self.base) < 2:
+            # every scale of one offset is the same pattern, censused again
+            raise ValueError(f"family base needs at least two offsets, got {self.base}")
         verdict = is_admissible(self.base)
         if not verdict.admissible:
             raise ValueError(
                 f"base pattern {self.base} is inadmissible (witness prime {verdict.witness})"
             )
-        if len(self.base) >= 2:
-            support = distance_gcd_prime_support(self.base)
-            for c in self.scales:
-                extra = set(distinct_prime_factors(c)) - support
-                if extra:
-                    raise ValueError(
-                        f"scale {c} introduces primes {sorted(extra)} outside the "
-                        f"distance support {sorted(support)} of {self.base}"
-                    )
+        support = distance_gcd_prime_support(self.base)
+        for c in self.scales:
+            extra = set(distinct_prime_factors(c)) - support
+            if extra:
+                raise ValueError(
+                    f"scale {c} introduces primes {sorted(extra)} outside the "
+                    f"distance support {sorted(support)} of {self.base}"
+                )
 
     @property
     def members(self) -> tuple[Pattern, ...]:
@@ -212,10 +214,10 @@ def _ratio_estimates(
             f"pattern {pattern} is inadmissible (witness prime {verdict.witness})"
         )
     ones = Requirements((1,) * len(pattern))
-    *numerators, baseline = count_demands(
-        table, pattern, [*requirement_list, ones], x,
+    *numerators, baseline = count_patterns(
+        table, [pattern], [*requirement_list, ones], x,
         parity=parity, mode=mode, workers=workers,
-    )
+    )[0]
     if baseline == 0:
         raise InsufficientDataError(
             f"no all-ones tuples for {pattern} at x={x}; ratio undefined"

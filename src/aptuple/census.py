@@ -180,6 +180,8 @@ def count_patterns(
     for pattern in patterns:
         for requirements in demand_vectors:
             CensusQuery(pattern, requirements, x, parity=parity, mode=mode)
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     needed = x + max((pattern.max_offset for pattern in patterns), default=0)
     if needed > table.limit:
         raise TableBoundError(
@@ -212,22 +214,6 @@ def count_patterns(
     return tuple(tuple(totals[i : i + per]) for i in range(0, len(totals), per))
 
 
-def count_demands(
-    table: OmegaTable,
-    pattern: Pattern,
-    demand_vectors: Sequence[Requirements],
-    x: int,
-    parity: str = "odd",
-    mode: str = "exact",
-    workers: int = 1,
-) -> tuple[int, ...]:
-    """Count n in [1, x] meeting each demand vector, all in one scan.
-
-    The one-pattern case of count_patterns: one count per vector, in order.
-    """
-    return count_patterns(table, [pattern], demand_vectors, x, parity, mode, workers)[0]
-
-
 def k_histogram(table: OmegaTable, x: int, parity: str = "all") -> np.ndarray:
     """Counts of n in [2, x] (odd n only for parity "odd") per Omega value.
 
@@ -255,8 +241,8 @@ def k_histogram(table: OmegaTable, x: int, parity: str = "all") -> np.ndarray:
 def count_tuples(table: OmegaTable, query: CensusQuery, workers: int = 1) -> CensusResult:
     """Count n in [1, x] whose whole tuple satisfies the query demands."""
     started = time.perf_counter()
-    (count,) = count_demands(
-        table, query.pattern, [query.requirements], query.x,
+    ((count,),) = count_patterns(
+        table, [query.pattern], [query.requirements], query.x,
         parity=query.parity, mode=query.mode, workers=workers,
     )
     return CensusResult(query=query, count=count, elapsed=time.perf_counter() - started)

@@ -130,7 +130,7 @@ def ensure_table(
 
 
 def _cmd_sieve(args) -> int:
-    from .sieve import write_omega_table
+    from .sieve import HEADER_SIZE, write_omega_table
 
     if args.out:
         path = Path(args.out)
@@ -147,7 +147,7 @@ def _cmd_sieve(args) -> int:
         {
             "limit": args.limit,
             "path": str(path),
-            "bytes": args.limit + 14,
+            "bytes": HEADER_SIZE + args.limit + 1,  # header, then Omega(n) for 0 <= n <= limit
             "elapsed": elapsed,
             "timings": {"build_s": elapsed - rename_s, "save_s": rename_s},
         }

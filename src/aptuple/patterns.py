@@ -55,10 +55,6 @@ class Pattern:
     def max_offset(self) -> int:
         return self.offsets[-1]
 
-    @property
-    def all_even(self) -> bool:
-        return all(h % 2 == 0 for h in self.offsets)
-
 
 @dataclass(frozen=True)
 class Requirements:

@@ -125,20 +125,13 @@ def _check_prime_limit(prime_limit: int) -> None:
 
 
 def _factors(nu, p: np.ndarray, m: int) -> np.ndarray:
-    """(1 - nu_p/p)(1 - 1/p)^(-m) per prime p, as a log for m >= 4."""
-    if m < 4:
-        return (1.0 - nu / p) * (1.0 - 1.0 / p) ** (-m)
+    """log of (1 - nu_p/p)(1 - 1/p)^(-m) per prime p."""
     return np.log1p(-nu / p) - m * np.log1p(-1.0 / p)
-
-
-def _combine(factors: np.ndarray, m: int) -> float:
-    """Product of _factors output, or the sum of its logs for m >= 4."""
-    return float(np.prod(factors)) if m < 4 else float(np.sum(factors))
 
 
 @functools.lru_cache(maxsize=64)
 def _generic_product(m: int, prime_limit: int) -> float:
-    """_combine of the generic factors (nu_p = m) over primes m < p <= prime_limit.
+    """Sum of the generic log factors (nu_p = m) over primes m < p <= prime_limit.
 
     Every pattern of length m shares these factors beyond its largest
     offset, so a process works them out once per (m, prime_limit), in
@@ -146,11 +139,10 @@ def _generic_product(m: int, prime_limit: int) -> float:
     """
     primes = primes_up_to(prime_limit)
     first = int(np.searchsorted(primes, m, side="right"))
-    parts = [
-        _combine(_factors(m, primes[lo : lo + GENERIC_CHUNK].astype(np.float64), m), m)
+    return math.fsum(
+        float(np.sum(_factors(m, primes[lo : lo + GENERIC_CHUNK].astype(np.float64), m)))
         for lo in range(first, len(primes), GENERIC_CHUNK)
-    ]
-    return math.prod(parts) if m < 4 else math.fsum(parts)
+    )
 
 
 def selberg_constant(pattern: Pattern, prime_limit: int = 10**6) -> SelbergResult:
@@ -158,10 +150,9 @@ def selberg_constant(pattern: Pattern, prime_limit: int = 10**6) -> SelbergResul
 
     Primes up to max(m, h_max) get their residue count computed directly,
     all in one vectorized pass; beyond that all offsets are distinct mod p
-    and nu_p = m, so those factors come from the per-process generic
-    product over m < p <= prime_limit, with the ones already counted
-    directly divided out. Accumulation switches to log space for m >= 4,
-    where factors drift far from 1.
+    and nu_p = m, so those factors come from the per-process generic sum
+    over m < p <= prime_limit, less the ones already counted directly.
+    Every factor is summed as a log and exponentiated once.
     """
     m = len(pattern)
     if prime_limit < m:
@@ -180,12 +171,12 @@ def selberg_constant(pattern: Pattern, prime_limit: int = 10**6) -> SelbergResul
         return SelbergResult(0.0, included, 0.0, admissible=False)
 
     p = direct.astype(np.float64)
-    total = _combine(_factors(nu, p, m), m)
+    total = float(np.sum(_factors(nu, p, m)))
     if len(direct) < len(primes):
         generic = _generic_product(m, prime_limit)
-        counted = _combine(_factors(m, p[p > m], m), m)
-        total = total * generic / counted if m < 4 else total + generic - counted
-    value = total if m < 4 else math.exp(total)
+        counted = float(np.sum(_factors(m, p[p > m], m)))
+        total += generic - counted
+    value = math.exp(total)
 
     return SelbergResult(
         value=value,

@@ -42,6 +42,24 @@ def test_family_rejects_repeated_scales():
         PatternFamily(Pattern((0, 2, 6)), (1, 2, 4, 1))
 
 
+def test_family_rejects_single_offset_base():
+    # every scale of (0,) is (0,) again, so the spread would read 0
+    with pytest.raises(ValueError, match="two offsets"):
+        PatternFamily(Pattern((0,)), (1, 2, 4))
+    with pytest.raises(ValueError, match="two offsets"):
+        PatternFamily(Pattern((0,)), (1,))
+
+
+def test_estimators_reject_workers_below_one(table_small):
+    family = PatternFamily(Pattern((0, 2)), (1, 2))
+    with pytest.raises(ValueError, match="workers"):
+        calibrate(table_small, family, Requirements((1, 1)), 10**4, workers=0)
+    with pytest.raises(ValueError, match="workers"):
+        estimate_correction_via_ratio(
+            table_small, Pattern((0, 2)), Requirements((1, 1)), 10**4, workers=-3
+        )
+
+
 def test_family_rejects_inadmissible_base():
     with pytest.raises(ValueError):
         PatternFamily(Pattern((0, 2, 4, 6, 8)), (1, 2))

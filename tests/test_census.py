@@ -10,7 +10,7 @@ import pytest
 import aptuple as ap
 from aptuple import census
 from aptuple._primes import trial_division_omega
-from aptuple.census import CensusQuery, count_demands, count_patterns, count_tuples
+from aptuple.census import CensusQuery, count_patterns, count_tuples
 from aptuple.patterns import Pattern, Requirements
 from aptuple.sieve import OmegaTable, TableBoundError
 
@@ -190,7 +190,7 @@ def test_small_blocks_match_oracle(table_small, monkeypatch, parity, mode):
         for x in sorted(edges):
             want = tuple(_brute_force(pattern, v.demands, x, parity, mode) for v in vectors)
             for workers in (1, 2, 3):
-                got = count_demands(table_small, pattern, vectors, x, parity, mode, workers)
+                got = count_patterns(table_small, [pattern], vectors, x, parity, mode, workers)[0]
                 assert got == want, (pattern, x, workers)
 
 
@@ -232,7 +232,8 @@ def test_pattern_scan_matches_per_pattern_and_oracle(monkeypatch, block, parity,
                 got = count_patterns(table, patterns, vectors, x, parity, mode, workers)
                 assert got == want, (patterns, limit, workers)
                 assert got == tuple(
-                    count_demands(table, p, vectors, x, parity, mode, workers) for p in patterns
+                    count_patterns(table, [p], vectors, x, parity, mode, workers)[0]
+                    for p in patterns
                 )
             with pytest.raises(TableBoundError):
                 count_patterns(table, patterns, vectors, x + 1, parity, mode)
@@ -244,20 +245,35 @@ def test_count_demands_matches_count_tuples(table_big):
     for pattern, vectors in ((Pattern((0, 2, 6)), triples), (Pattern((0, 4)), pairs)):
         for parity in ("odd", "all"):
             for mode in ("exact", "atmost"):
-                got = count_demands(table_big, pattern, vectors, X7, parity, mode)
+                got = count_patterns(table_big, [pattern], vectors, X7, parity, mode)[0]
                 want = tuple(
                     count_tuples(table_big, CensusQuery(pattern, v, X7, parity, mode)).count
                     for v in vectors
                 )
                 assert got == want, (pattern, parity, mode)
-    assert count_demands(table_big, Pattern((0, 2)), [], X7) == ()
+    assert count_patterns(table_big, [Pattern((0, 2))], [], X7) == ((),)
 
 
 def test_count_demands_validates_every_vector(table_small):
     with pytest.raises(ValueError):
-        count_demands(table_small, Pattern((0, 2)), [Requirements((1, 1)), Requirements((1,))], 100)
+        count_patterns(
+            table_small, [Pattern((0, 2))], [Requirements((1, 1)), Requirements((1,))], 100
+        )
     with pytest.raises(TableBoundError):
-        count_demands(table_small, Pattern((0, 2)), [Requirements((1, 1))], table_small.limit)
+        count_patterns(table_small, [Pattern((0, 2))], [Requirements((1, 1))], table_small.limit)
+
+
+def test_count_patterns_rejects_workers_below_one(table_small, monkeypatch):
+    # the check comes before any scan, so _count_range is never reached
+    monkeypatch.setattr(census, "_count_range", lambda *a: pytest.fail("scanned"))
+    query = CensusQuery(Pattern((0, 2)), Requirements((1, 1)), 1000)
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            count_patterns(
+                table_small, [query.pattern], [query.requirements], 1000, workers=workers
+            )
+        with pytest.raises(ValueError, match="workers"):
+            count_tuples(table_small, query, workers=workers)
 
 
 def test_demands_beyond_a_byte(table_small):
@@ -307,9 +323,9 @@ def test_census_on_mapped_table(built_and_mapped, parity, mode):
         (Pattern((0, 2, 6)), [Requirements(d) for d in ((1, 1, 2), (2, 2, 2), (2, 2, 3))]),
         (Pattern((0, 1)), [Requirements(d) for d in ((1, 2), (2, 2))]),
     ):
-        want = count_demands(built, pattern, vectors, x, parity, mode)
-        assert count_demands(mapped, pattern, vectors, x, parity, mode, workers=2) == want
-        assert count_demands(mapped, pattern, vectors, x, parity, mode) == want
+        want = count_patterns(built, [pattern], vectors, x, parity, mode)[0]
+        assert count_patterns(mapped, [pattern], vectors, x, parity, mode, workers=2)[0] == want
+        assert count_patterns(mapped, [pattern], vectors, x, parity, mode)[0] == want
 
 
 @pytest.mark.parametrize("parity", ["odd", "all"])

@@ -332,6 +332,17 @@ def test_huge_prime_limit_exits_1_before_any_work(capsys, tmp_path, monkeypatch,
     assert not (tmp_path / "cache").exists()
 
 
+def test_calibrate_rejects_single_offset_base(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "calibrate", "--base", "0", "--scales", "1,2,4", "--k", "2",
+        "--x", "1e5", "--cache", str(tmp_path / "cache"),
+    )
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "two offsets" in doc["message"]
+    assert not (tmp_path / "cache").exists()
+
+
 def test_calibrate_rejects_repeated_scales(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "calibrate", "--base", "0,2", "--scales", "2,2", "--k", "1,1",

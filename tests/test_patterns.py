@@ -34,8 +34,6 @@ def test_parse_and_str():
     assert str(p) == "0,2,6"
     assert len(p) == 3
     assert p.max_offset == 6
-    assert p.all_even
-    assert not Pattern((0, 1)).all_even
     with pytest.raises(ValueError):
         Pattern.parse("0,x,6")
 

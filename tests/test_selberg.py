@@ -143,20 +143,28 @@ def test_value_zero_iff_inadmissible():
         assert result.admissible == is_admissible(pattern).admissible
 
 
-def test_log_space_path_matches_plain_product():
-    # m = 4 takes the log-space branch; compare against an m = 3 style
-    # direct evaluation done here by hand at a tiny prime bound
-    pattern = Pattern((0, 4, 6, 10))
-    result = selberg_constant(pattern, 10**4)
-    direct = 1.0
-    from aptuple._primes import primes_up_to
-    from aptuple.patterns import residues_mod_p
+def _series_mp(pattern: Pattern, prime_limit: int) -> mpmath.mpf:
+    """The truncated series as a 30-digit mpmath product, one factor per prime."""
+    m = len(pattern)
+    with mpmath.workdps(30):
+        total = mpmath.mpf(1)
+        for p in primes_up_to(prime_limit).tolist():
+            nu = len({h % p for h in pattern.offsets})
+            total *= (1 - mpmath.mpf(nu) / p) / (1 - mpmath.mpf(1) / p) ** m
+        return total
 
-    for p in primes_up_to(10**4):
-        p = int(p)
-        _, nu = residues_mod_p(pattern, p)
-        direct *= (1.0 - nu / p) * (1.0 - 1.0 / p) ** (-4)
-    assert abs(result.value - direct) < 1e-9 * direct
+
+@pytest.mark.parametrize("prime_limit", [10**4, 10**5])
+@pytest.mark.parametrize(
+    "offsets", [(0, 2), (0, 2, 6), (0, 4, 6, 10), (0, 2, 6, 8, 12), (0, 4, 6, 10, 12, 16)]
+)
+def test_series_matches_mpmath_product(offsets, prime_limit):
+    # every length is summed in log space, so pairs and triples are as
+    # accurate as the longer patterns
+    pattern = Pattern(offsets)
+    want = _series_mp(pattern, prime_limit)
+    got = selberg_constant(pattern, prime_limit).value
+    assert abs(got - want) <= 1e-15 * want, float(abs(got - want) / want)
 
 
 def test_tail_bound_holds_for_wide_patterns():

@@ -18,13 +18,12 @@ import aptuple
 SRC = Path(aptuple.__file__).resolve().parents[1]
 
 # Every name the package exported when its __init__ imported each module,
-# and the names added since.
+# and the names added since, less the ones deleted since.
 EXPORTED = (
-    "EULER_GAMMA", "LANDAU_C1", "LANDAU_C2", "almost_prime_count_asymptotic",
-    "predicted_tuple_count", "successor_ratio",
+    "almost_prime_count_asymptotic", "predicted_tuple_count", "successor_ratio",
     "CalibrationReport", "PatternFamily", "calibrate", "calibrate_all",
     "estimate_correction_via_ratio", "family_presets", "reproduce_tables", "symmetry_report",
-    "CensusQuery", "CensusResult", "count_demands", "count_patterns", "count_tuples",
+    "CensusQuery", "CensusResult", "count_patterns", "count_tuples",
     "k_histogram",
     "AdmissibilityVerdict", "Pattern", "Requirements", "distance_gcd_prime_support",
     "is_admissible", "primorial", "residues_mod_p", "scale_pattern",
