@@ -18,7 +18,7 @@ from itertools import permutations
 from typing import Sequence
 
 from ._primes import distinct_prime_factors
-from .asymptotics import loglog_power_product, predicted_tuple_count
+from .asymptotics import _check_x, loglog_power_product, predicted_tuple_count
 from .census import count_patterns
 from .patterns import (
     Pattern,
@@ -28,6 +28,7 @@ from .patterns import (
     scale_pattern,
 )
 from .selberg import (
+    _check_prime_limit,
     pair_constant_closed_form,
     primorial_pattern_table,
     selberg_constant,
@@ -113,6 +114,25 @@ class CalibrationReport:
     rel_error_percent: float
 
 
+def _check_calibration(
+    family: PatternFamily,
+    requirement_list: Sequence[Requirements],
+    x: int,
+    prime_limit: int,
+) -> None:
+    """Raise ValueError for arguments calibrate_all cannot take, before any series or census.
+
+    The CLI runs it before it builds or loads a table.
+    """
+    _check_x(x)
+    _check_prime_limit(prime_limit, len(family.base))
+    for requirements in requirement_list:
+        if len(requirements) != len(family.base):
+            raise ValueError(
+                f"pattern length {len(family.base)} != requirements length {len(requirements)}"
+            )
+
+
 def calibrate_all(
     table: OmegaTable,
     family: PatternFamily,
@@ -129,6 +149,7 @@ def calibrate_all(
     shared theoretical count uses the base pattern's series value, which
     the members are verified to share before any counting happens.
     """
+    _check_calibration(family, requirement_list, x, prime_limit)
     members = family.members
     if len(members) < 2:
         raise ValueError("need at least two family members for a spread estimate")

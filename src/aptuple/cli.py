@@ -260,15 +260,14 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    from .calibration import PatternFamily, calibrate
+    from .calibration import PatternFamily, _check_calibration, calibrate
     from .patterns import Pattern, Requirements
-    from .selberg import _check_prime_limit
 
-    _check_prime_limit(args.prime_limit)  # before the table is built
     base = Pattern.parse(args.base)
     scales = tuple(int(part) for part in args.scales.split(","))
     family = PatternFamily(base, scales)
     requirements = Requirements.parse(args.k)
+    _check_calibration(family, [requirements], args.x, args.prime_limit)  # before the table is built
     max_offset = max(member.max_offset for member in family.members)
     table, cache = _require_table(args, args.x + max_offset)
     report = calibrate(
@@ -311,13 +310,13 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    from .calibration import TABLE_FAMILIES, family_presets, reproduce_tables
-    from .selberg import _check_prime_limit
+    from .calibration import TABLE_FAMILIES, _check_calibration, family_presets, reproduce_tables
 
-    _check_prime_limit(args.prime_limit)  # before the table is built
+    presets = family_presets()
+    for name in TABLE_FAMILIES:
+        _check_calibration(presets[name], [], args.x, args.prime_limit)  # before the table is built
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    presets = family_presets()
     margin = max(
         member.offsets[-1] for name in TABLE_FAMILIES for member in presets[name].members
     )
@@ -370,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sieve", help="build and persist a factor-count table")
     p.add_argument("--limit", type=_parse_bound, required=True)
     p.add_argument("--segment-size", type=_parse_segment_size, default=None,
-                   help="numbers per sieve segment (default: from the limit)")
+                   help="numbers per sieve segment (default: 2^21)")
     p.add_argument("--out", default=None, help="explicit output path (default: cache)")
     add_cache_flags(p)
     p.set_defaults(func=_cmd_sieve)

@@ -116,8 +116,10 @@ def _residue_counts(pattern: Pattern, primes: np.ndarray) -> np.ndarray:
     return nu
 
 
-def _check_prime_limit(prime_limit: int) -> None:
-    """Reject a prime bound whose sieve and prime array would not fit in memory."""
+def _check_prime_limit(prime_limit: int, m: int = 0) -> None:
+    """Reject a prime bound below the pattern length m, or whose primes would not fit in memory."""
+    if prime_limit < m:
+        raise ValueError(f"prime_limit {prime_limit} must be >= pattern length {m}")
     if prime_limit > PRIME_LIMIT_BOUND:
         raise ValueError(
             f"prime_limit {prime_limit} exceeds the bound {PRIME_LIMIT_BOUND}"
@@ -155,9 +157,7 @@ def selberg_constant(pattern: Pattern, prime_limit: int = 10**6) -> SelbergResul
     Every factor is summed as a log and exponentiated once.
     """
     m = len(pattern)
-    if prime_limit < m:
-        raise ValueError(f"prime_limit {prime_limit} must be >= pattern length {m}")
-    _check_prime_limit(prime_limit)
+    _check_prime_limit(prime_limit, m)
 
     primes = primes_up_to(prime_limit)
     included = int(primes[-1]) if len(primes) else 0

@@ -18,11 +18,29 @@ bytes is the segment's stretch of the table. One byte per value keeps a
 Each table is sieved from one plan. The powers 3, 9, 27, 5, 25, 7, 11 and
 13 (those that are base prime powers <= limit) have credits periodic in
 the odd index i = (n - 1)/2 with period WHEEL = 3^3 5^2 7 11 13 = 675675,
-so their sum is built once as a template and a segment starts as one add
-of the template to its start values. Every other base prime power is one
-strided add per segment, from a first index computed for all of them in
-one numpy expression; a power at least as long as the segment has at most
-one odd multiple in it, and one scatter adds all of those.
+so their sum is built once as a template of one period (or of the whole
+table, if that is shorter), and a segment starts as adds of the template
+to its start values, in pieces that wrap at the period. Every other base
+prime power q gets a first index in the segment, computed for all of them
+in one numpy expression. For a segment of S odd entries, a dense power
+(256 q < S) is one strided add. A sparse power (256 q >= S) has at most
+256 odd multiples in the segment, and all of them go through one scatter:
+np.repeat and one cumsum list the hits of every sparse power, and
+np.add.at adds their credits, in calls of about SCATTER_CHUNK hits, so the
+index temporaries stay near 0.6 MB. add.at adds twice where two powers of
+one prime share an n, and a power with no multiple in the segment adds
+nothing, so the table is the same for any cut; the cut only sets the speed.
+A strided add costs a Python-level call of several microseconds however
+few its hits, while the scatter costs about 10 ns a hit, so the cut moves
+every power with few hits into the scatter and leaves the loop to the
+dense powers, whose cost is memory, not calls. At limit 1e8 the 48
+segments took 0.228 s of CPU with the cut at S/256, 0.249 s at S/128,
+0.272 s at S/512, and 0.274 s with the loop for every power below S.
+
+Every limit uses one segment size, DEFAULT_SEGMENT_SIZE = 2^21 numbers
+(S = 2^20) unless a build asks for another. The loop then covers the
+powers below 4096 whatever the limit, so the Python work per segment no
+longer grows with sqrt(limit), and a larger segment would buy nothing.
 
 Why the threshold is exact. Let r = isqrt(limit), so every n <= limit is
 below (r + 1)^2 and has at most one prime factor P > r. Write
@@ -66,8 +84,9 @@ buffer's bytes are values[lo:hi] in order (for odd hi - lo the buffer has
 one more entry, whose low byte is the last even value and whose high byte,
 n = hi, is cut off). For lo > 0, lo is a multiple of the segment length L
 and hi <= lo + L <= 2 lo, so every even n in [lo, hi) has n/2 < lo: its
-half lies in a segment finished earlier, and clearing the low bytes and
-or-ing in values[lo/2 : (hi + 1)/2] + 1 completes the segment. The first
+half lies in a segment finished earlier, so reading values[lo/2 : (hi + 1)/2]
+into one reused buffer, adding 1 there in place, clearing the low bytes and
+or-ing the buffer in completes the segment. The first
 segment is its own source: values[0] = 0, the sieve gives Omega(1) = 0,
 and doubling the block [a, 2a) fills the even entries of [2a, 4a), whose
 halves are final by then. So the table is one ordered stream of finished
@@ -111,7 +130,7 @@ from ._primes import primes_up_to
 MAGIC = b"OMGA"
 FORMAT_VERSION = 1
 HEADER_SIZE = 13  # magic, version byte, little-endian uint64 limit
-DEFAULT_SEGMENT_SIZE = 1 << 21  # the default below limit 13108^2 (about 1.7e8), the floor above
+DEFAULT_SEGMENT_SIZE = 1 << 21  # numbers per segment unless a build asks otherwise
 
 
 class CacheFormatError(Exception):
@@ -141,6 +160,8 @@ class OmegaTable:
 LOG_UNITS = 7  # accumulator units per bit of log2 n
 LIMIT_BOUND = 1 << 34  # limits must stay below this for the 8-bit log accumulator
 WHEEL = 3**3 * 5**2 * 7 * 11 * 13  # period, in odd indices, of the sieve template
+SPARSE_HITS = 256  # a power with at most this many odd multiples per segment is scattered
+SCATTER_CHUNK = 1 << 16  # hits per np.add.at call of the scatter
 
 
 def _log_units_start(k: int) -> int:
@@ -158,9 +179,9 @@ class _SievePlan:
     """What every segment of one table shares, built once per table.
 
     template holds the summed credits of the wheel powers (the base prime
-    powers dividing WHEEL) at global odd index i, n = 2i + 1, for i up to
-    a period plus one segment; powers holds every other base prime power,
-    ascending, and credits its 256 - w_p.
+    powers dividing WHEEL) at global odd index i, n = 2i + 1, for one
+    period, or for every odd index of a table shorter than that; powers
+    holds every other base prime power, ascending, and credits its 256 - w_p.
     """
 
     theta: int
@@ -169,14 +190,12 @@ class _SievePlan:
     credits: np.ndarray
 
 
-def _sieve_plan(limit: int, step: int) -> _SievePlan:
-    """The plan for a table of 0..limit sieved in segments of step numbers."""
+def _sieve_plan(limit: int) -> _SievePlan:
+    """The plan for a table of 0..limit."""
     root = math.isqrt(limit)
     primes = primes_up_to(root)[1:]
     weights = np.rint(LOG_UNITS * np.log2(primes)).astype(np.int64)
-    # every segment slices template[s % WHEEL :][: its odd count], and never
-    # past the odd count of the whole table
-    template = np.zeros(min(WHEEL + min(step, limit + 1) // 2, (limit + 1) // 2), dtype="<u2")
+    template = np.zeros(min(WHEEL, (limit + 1) // 2), dtype="<u2")
     rest = []
     for p, w in zip(primes.tolist(), weights.tolist()):
         q = p
@@ -203,32 +222,57 @@ def _segment_omega(lo: int, hi: int, plan: _SievePlan, packed: np.ndarray) -> np
     of the extra entry an odd hi - lo adds, are left for _omega_blocks.
     """
     size = (hi - lo) // 2
-    s = (lo >> 1) % WHEEL
     # n in [start(k), start(k + 1)) share the target T(n) = k, and start at
-    # 255 + max(k - theta, 0) plus their wheel credits (see the borrow proof)
+    # 255 + max(k - theta, 0) plus their wheel credits (see the borrow proof);
+    # each run adds the template in pieces that wrap at the period
     k = ((lo + 1) ** LOG_UNITS).bit_length() - 1
     begin = 0
     while begin < size:
         end = min(size, max(0, (_log_units_start(k + 1) - lo) >> 1))
         base = 255 + max(k - plan.theta, 0)
-        np.add(plan.template[s + begin : s + end], base, out=packed[begin:end])
-        begin = end
+        while begin < end:
+            t = ((lo >> 1) + begin) % WHEEL
+            stop = min(end, begin + WHEEL - t)
+            np.add(plan.template[t : t + stop - begin], base, out=packed[begin:stop])
+            begin = stop
         k += 1
 
     stop = np.searchsorted(plan.powers, hi)
     powers, credits = plan.powers[:stop], plan.credits[:stop]
     # the first odd multiple of q at or above lo is lo + ((q - lo) mod 2q)
     firsts = ((powers - lo) % (2 * powers)) >> 1
-    split = np.searchsorted(powers, size)
+    split = np.searchsorted(powers * SPARSE_HITS, size)
     for first, q, credit in zip(firsts[:split].tolist(), powers[:split].tolist(),
                                 credits[:split].tolist()):
         packed[first::q] += credit
-    # a power of size or more has at most one odd multiple here; add.at
-    # adds them all at once, and adds twice where p^2 and p^3 share an n
-    firsts, credits = firsts[split:], credits[split:]
-    hit = firsts < size
-    np.add.at(packed, firsts[hit], credits[hit])
+    _scatter(packed, firsts[split:], powers[split:], credits[split:])
     return packed
+
+
+def _scatter(packed: np.ndarray, firsts: np.ndarray, powers: np.ndarray,
+             credits: np.ndarray) -> None:
+    """Add each credit at firsts[j], firsts[j] + powers[j], ... below len(packed).
+
+    The hits go out in np.add.at calls of about SCATTER_CHUNK each; add.at
+    adds twice where two powers of one prime share an n.
+    """
+    # first < q, so (len - 1 - first) // q is -1 exactly when first >= len
+    counts = (len(packed) - 1 - firsts) // powers + 1
+    keep = counts > 0
+    firsts, powers, credits, counts = firsts[keep], powers[keep], credits[keep], counts[keep]
+    ends = np.cumsum(counts)
+    a = 0
+    while a < len(counts):
+        done = ends[a] - counts[a]
+        b = max(a + 1, int(np.searchsorted(ends, done + SCATTER_CHUNK, side="right")))
+        run = counts[a:b]
+        # one cumsum walks every run: q within a run, and a jump from the
+        # last hit of the run before to the first hit of this one
+        steps = np.repeat(powers[a:b], run)
+        lasts = firsts[a:b] + (run - 1) * powers[a:b]
+        steps[ends[a:b] - run - done] = firsts[a:b] - np.concatenate(([0], lasts[:-1]))
+        np.add.at(packed, np.cumsum(steps, out=steps), np.repeat(credits[a:b], run))
+        a = b
 
 
 def _fill_even(values: np.ndarray) -> None:
@@ -246,18 +290,6 @@ def _fill_even(values: np.ndarray) -> None:
         a = b
 
 
-def _default_segment_size(limit: int) -> int:
-    """The smallest power of two that is at least 2^21 and at least 160 isqrt(limit).
-
-    A segment loops in Python over every base prime power below it, so
-    from limit 13108^2 (about 1.7e8) on the segment grows with sqrt(limit)
-    to keep that loop's share of the cost per entry flat; below, it is
-    DEFAULT_SEGMENT_SIZE. At 1e9 this gives 2^23, which streamed the table
-    in 5.3-5.9 s against 7.2-7.8 s at 2^21 (2 vCPUs, 3 runs each).
-    """
-    return max(DEFAULT_SEGMENT_SIZE, 1 << (160 * math.isqrt(limit) - 1).bit_length())
-
-
 def _check_build(limit: int, segment_size: int | None, workers: int) -> int:
     """Validate the build arguments; returns the segment size, derived if None."""
     if limit < 2:
@@ -265,7 +297,7 @@ def _check_build(limit: int, segment_size: int | None, workers: int) -> int:
     if limit >= LIMIT_BOUND:
         raise ValueError(f"need limit < 2**34 for the log accumulator, got {limit}")
     if segment_size is None:
-        segment_size = _default_segment_size(limit)
+        segment_size = DEFAULT_SEGMENT_SIZE
     if segment_size < 2:
         raise ValueError(f"need segment_size >= 2, got {segment_size}")
     if workers < 1:
@@ -312,14 +344,16 @@ def _packed_segments(spans: list[tuple[int, int]], plan: _SievePlan, workers: in
 def _omega_blocks(limit: int, segment_size: int, workers: int, halves):
     """Yield values[lo:hi] of the table for consecutive segments, as uint8 arrays.
 
-    halves(a, b) returns values[a:b], and is only asked for entries below
-    the lo of the block being made, all in blocks yielded before. A yielded
-    block is a view of a reused buffer, valid until the next one is asked
-    for.
+    halves(a, out) fills the uint8 array out with values[a : a + len(out)],
+    and is only asked for entries below the lo of the block being made, all
+    in blocks yielded before. A yielded block is a view of a reused buffer,
+    valid until the next one is asked for.
     """
     step = segment_size & ~1
-    plan = _sieve_plan(limit, step)
+    plan = _sieve_plan(limit)
     spans = [(lo, min(lo + step, limit + 1)) for lo in range(0, limit + 1, step)]
+    # every later span needs at most as many halves as the first has entries
+    buf = np.empty((spans[0][1] + 1) // 2, dtype=np.uint8)
     for (lo, hi), packed in zip(spans, _packed_segments(spans, plan, workers)):
         block = packed.view(np.uint8)[: hi - lo]
         if lo == 0:
@@ -327,8 +361,11 @@ def _omega_blocks(limit: int, segment_size: int, workers: int, halves):
             _fill_even(block)
         else:
             # low byte of entry i: Omega(lo + 2i) = Omega(lo/2 + i) + 1
+            low = buf[: len(packed)]
+            halves(lo >> 1, low)
+            np.add(low, 1, out=low)
             packed &= 0xFF00
-            packed |= halves(lo >> 1, (hi + 1) >> 1) + 1
+            packed |= low
         yield block
 
 
@@ -346,8 +383,8 @@ def build_omega_table(
         log accumulator is proven exact, see the module docstring).
     segment_size : int, optional
         Numbers processed per segment, rounded down to even; affects memory
-        and speed only, never the result. By default the smallest power of
-        two that is at least 2^21 and at least 160 isqrt(limit).
+        and speed only, never the result. By default DEFAULT_SEGMENT_SIZE
+        (2^21) at every limit.
     workers : int
         Threads that sieve segments ahead of the calling thread, which
         completes them in order (one worker sieves in the calling thread).
@@ -363,7 +400,11 @@ def build_omega_table(
     segment_size = _check_build(limit, segment_size, workers)
     values = np.empty(limit + 1, dtype=np.uint8)
     lo = 0
-    for block in _omega_blocks(limit, segment_size, workers, lambda a, b: values[a:b]):
+
+    def halves(a: int, out: np.ndarray) -> None:
+        np.copyto(out, values[a : a + len(out)])
+
+    for block in _omega_blocks(limit, segment_size, workers, halves):
         values[lo : lo + len(block)] = block
         lo += len(block)
     values.flags.writeable = False
@@ -449,10 +490,8 @@ def write_omega_table(
     def write(fd: int) -> None:
         _write_all(fd, _header(limit))
 
-        def halves(a: int, b: int) -> np.ndarray:
-            buf = np.empty(b - a, dtype=np.uint8)
-            _read_into(fd, buf, HEADER_SIZE + a)
-            return buf
+        def halves(a: int, out: np.ndarray) -> None:
+            _read_into(fd, out, HEADER_SIZE + a)
 
         for block in _omega_blocks(limit, segment_size, workers, halves):
             _write_all(fd, block)

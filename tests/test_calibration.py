@@ -121,6 +121,29 @@ def test_permutation_agreement_within_spread(table_big):
     assert abs(a.mean - b.mean) < 3 * (a.std_dev + b.std_dev)
 
 
+@pytest.mark.parametrize("base, demands, x, prime_limit, message", [
+    ((0, 2), [(1, 1)], 0, 10**4, "need x >= 100"),
+    ((0, 2), [(1, 1)], -5, 10**4, "need x >= 100"),
+    ((0, 2), [(1, 1)], 10**4, 1, "pattern length 2"),
+    ((0, 2, 6), [(1, 1, 1)], 10**4, 2, "pattern length 3"),
+    ((0, 2), [(1, 1), (1, 1, 1)], 1000, 10**4, "requirements length 3"),
+])
+def test_calibrate_all_checks_arguments_before_any_work(table_small, monkeypatch,
+                                                        base, demands, x, prime_limit, message):
+    from aptuple import calibration
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a series or census ran")
+
+    monkeypatch.setattr(calibration, "selberg_constant", refuse)
+    monkeypatch.setattr(calibration, "count_patterns", refuse)
+    family = PatternFamily(Pattern(base), (1, 2))
+    with pytest.raises(ValueError, match=message) as info:
+        calibrate_all(table_small, family, [Requirements(d) for d in demands], x,
+                      prime_limit=prime_limit)
+    assert type(info.value) is ValueError
+
+
 def test_unreliable_sample(table_small):
     family = family_presets()["pair-full"]
     with pytest.raises(UnreliableSampleError):

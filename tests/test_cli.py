@@ -351,3 +351,28 @@ def test_calibrate_rejects_repeated_scales(capsys, tmp_path):
     assert code == 1 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "ValueError" and "distinct" in doc["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1", "--x", "0"], "need x >= 100"),
+    (["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1", "--x", "-5"], "need x >= 100"),
+    (["tables", "--x", "0", "--out", "out"], "need x >= 100"),
+    (["tables", "--x", "-5", "--out", "out"], "need x >= 100"),
+    (["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1", "--x", "1e4",
+      "--prime-limit", "1"], "pattern length 2"),
+    (["calibrate", "--base", "0,2,6", "--scales", "1,2", "--k", "1,1,1", "--x", "1e4",
+      "--prime-limit", "2"], "pattern length 3"),
+    (["tables", "--x", "1e4", "--out", "out", "--prime-limit", "1"], "pattern length 2"),
+    (["tables", "--x", "1e4", "--out", "out", "--prime-limit", "2"], "pattern length 3"),
+    # once misreported as a theoretical count below 50, after the cache was built
+    (["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1,1", "--x", "1000"],
+     "requirements length 3"),
+])
+def test_calibrate_and_tables_reject_arguments_before_the_cache(capsys, tmp_path, monkeypatch,
+                                                                argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--cache", "cache")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and message in doc["message"]
+    assert not (tmp_path / "cache").exists()

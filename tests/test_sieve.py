@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import math
 import multiprocessing
 import random
 import struct
@@ -113,7 +114,7 @@ def test_odd_sieve_matches_oracle(tmp_path, limit, segment_size, reload):
 def test_high_segment_near_1e9():
     lo = 10**9 - (1 << 17)
     hi = lo + (1 << 17)
-    plan = _sieve_plan(10**9, 1 << 17)
+    plan = _sieve_plan(10**9)
     omega = _segment_omega(lo, hi, plan, np.empty(1 << 16, "<u2")) >> 8
     assert omega.shape == (1 << 16,)
     rng = random.Random(20261018)
@@ -127,7 +128,7 @@ def test_high_segments_near_the_bound(n):
     # the 2^17 segment ending at n, in a table of the largest allowed limit:
     # the largest accumulators, and a prime power of 7 or 3 far above the wheel
     lo, hi = n + 1 - (1 << 17), n + 1
-    plan = _sieve_plan(LIMIT_BOUND - 1, 1 << 17)
+    plan = _sieve_plan(LIMIT_BOUND - 1)
     omega = _segment_omega(lo, hi, plan, np.empty(1 << 16, "<u2")) >> 8
     rng = random.Random(n)
     for i in [len(omega) - 1, *rng.sample(range(len(omega)), 200)]:
@@ -136,6 +137,7 @@ def test_high_segments_near_the_bound(n):
 
 
 PINNED_1E7 = "7b765029b469010d067444bba577535a1a2675ff970ae0b3e57a040466ae9ca1"
+PINNED_1E8 = "cca47e6da46e45a866a9c09a9e739db9272299b2a834dfa15567972bb42f991a"
 
 
 @pytest.mark.parametrize(
@@ -446,15 +448,17 @@ def test_pinned_hash_through_the_writer(tmp_path, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_streamed_build_holds_segments_not_the_table(tmp_path, workers):
-    # the 32 MiB table in 16 segments of 2^21: the plan's template (3.3 MiB)
-    # and `workers` segment buffers of 2 MiB each, never the table
+    # the 32 MiB table in 16 segments of 2^21: the plan's one-period template
+    # (1.3 MiB), `workers` segment buffers of 2 MiB, the 1 MiB halves buffer
+    # and each worker's scatter chunk (0.6 MiB), never the table; measured
+    # 4.8 MiB with 1 worker and 6.9-7.3 MiB with 2
     tracemalloc.start()
     try:
         ap.write_omega_table(2**25, tmp_path / "omega.bin", workers=workers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < (4 + 2 * workers) * 2**20
     assert (tmp_path / "omega.bin").stat().st_size == 2**25 + 14
 
 
@@ -526,11 +530,38 @@ def test_stream_argument_errors_write_nothing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("limit, size", [
-    (2, 1 << 21), (2**27, 1 << 21), (13108**2 - 1, 1 << 21), (13108**2, 1 << 22),
-    (2**28, 1 << 22), (10**9, 1 << 23),
-    (LIMIT_BOUND - 1, 1 << 25),
+@pytest.mark.parametrize("limit", [2, 2**27, 10**9, LIMIT_BOUND - 1])
+def test_default_segment_is_one_size_for_every_limit(limit):
+    assert sieve._check_build(limit, None, 1) == DEFAULT_SEGMENT_SIZE
+    # the template holds one wheel period, or every odd index of a shorter table
+    assert len(_sieve_plan(limit).template) == min(WHEEL, (limit + 1) // 2)
+
+
+def test_pinned_1e8_payload_through_the_writer(tmp_path):
+    path = tmp_path / "omega.bin"
+    ap.write_omega_table(10**8, path)
+    digest = hashlib.sha256(ap.load_table(path).values).hexdigest()
+    path.unlink()  # pytest keeps recent temporary directories; this file is 100 MB
+    assert digest == PINNED_1E8
+
+
+@pytest.mark.parametrize("hits, chunk", [
+    (math.inf, 1),  # every power scattered, one power per np.add.at call
+    (math.inf, sieve.SCATTER_CHUNK),  # every power scattered
+    (0, 1),  # no power scattered: one strided add each
 ])
-def test_default_segment_size_grows_with_the_root(limit, size):
-    # the smallest power of two >= max(2^21, 160 isqrt(limit))
-    assert sieve._default_segment_size(limit) == size
+def test_scatter_threshold_and_chunks_keep_the_table(monkeypatch, hits, chunk):
+    monkeypatch.setattr(sieve, "SPARSE_HITS", hits)
+    monkeypatch.setattr(sieve, "SCATTER_CHUNK", chunk)
+    table = ap.build_omega_table(10**7)
+    assert hashlib.sha256(table.values).hexdigest() == PINNED_1E7
+
+
+def test_scattered_powers_of_one_prime_share_an_n():
+    # a segment of 4096 numbers scatters every power q with 256 q >= 2048:
+    # 49 and 343 (7 itself is in the wheel), and 289 and 4913, which both
+    # hit n = 14739 = 3 * 17^3
+    lo, hi = 12_288, 16_384
+    assert 49 * sieve.SPARSE_HITS >= (hi - lo) // 2
+    omega = _segment_omega(lo, hi, _sieve_plan(10**6), np.empty(2048, "<u2")) >> 8
+    assert omega.tolist() == [trial_division_omega(n) for n in range(lo + 1, hi, 2)]
