@@ -16,7 +16,6 @@ _EXPORTS = {
     "asymptotics": (
         "almost_prime_count_asymptotic",
         "predicted_tuple_count",
-        "successor_ratio",
     ),
     "calibration": (
         "CalibrationReport",

@@ -35,14 +35,6 @@ def almost_prime_count_asymptotic(x: float, k: int) -> float:
     return x / logx * math.log(logx) ** (k - 1) / math.factorial(k - 1)
 
 
-def successor_ratio(x: float, k: int) -> float:
-    """log log x / k, the k -> k+1 count ratio; > 1 exactly while k < log log x."""
-    _check_x(x)
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    return math.log(math.log(x)) / k
-
-
 def loglog_power_product(requirements: Requirements, x: float) -> float:
     """prod_i (log log x)^(k_i - 1) / (k_i - 1)!.
 

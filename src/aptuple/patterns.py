@@ -21,9 +21,11 @@ _INT64_MAX = 2**63 - 1
 class Pattern:
     """Strictly increasing offsets, normalized so the smallest is 0.
 
-    Construction sorts, deduplicates, and translates the offsets; odd
-    offsets are allowed (needed for negative tests) but the even subclass
-    is what the census and constant evaluations assume.
+    Construction sorts, deduplicates, and translates the offsets. Odd
+    offsets are allowed everywhere: the census counts them, reading n + h
+    for odd n and odd h from the table's even entries (its projection 1),
+    and admissibility and the singular series treat p = 2 like any other
+    prime, so offsets of both parities make a pattern inadmissible.
     """
 
     offsets: tuple[int, ...]

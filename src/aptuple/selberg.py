@@ -206,14 +206,6 @@ def triple_constant_closed_form(prime_limit: int = 10**6) -> float:
     return 4.5 * math.exp(log_total)
 
 
-def twin_prime_constant_truncated(prime_limit: int) -> float:
-    """prod_{2 < p <= P} (1 - 1/(p-1)^2); converges to C2 from above like 1/(P log P)."""
-    _check_prime_limit(prime_limit)
-    primes = primes_up_to(prime_limit).astype(np.float64)
-    primes = primes[primes > 2]
-    return float(np.exp(np.sum(np.log1p(-1.0 / (primes - 1.0) ** 2))))
-
-
 def primorial_pattern_table(
     max_index: int, prime_limit: int = 10**6
 ) -> list[tuple[int, float]]:

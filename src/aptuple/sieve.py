@@ -76,33 +76,38 @@ that is when acc(n) < d, and f otherwise. For k <= theta, d = 0 and
 acc(n) < 0 never holds; for k > theta, acc(n) < k - theta is D > theta,
 the leftover-prime test above. So the high byte is Omega(n).
 
-Why a finished segment is final bytes. Entry i of the packed buffer of a
-segment [lo, hi), lo even, holds n = lo + 2i + 1 in its high byte. In
+Why a finished segment is final bytes. A table is sieved in spans: [0, 2),
+then spans that double in length, [2, 4), [4, 8), ..., until they reach
+the segment length L, then spans of L, the last one cut at limit + 1. So
+every span [lo, hi) after the first has lo even and hi <= 2 lo. Entry i of
+a span's packed buffer holds n = lo + 2i + 1 in its high byte. In
 little-endian order its low byte comes first, at byte 2i, the place of the
 even n - 1 = lo + 2i, so once every low byte holds Omega(lo + 2i) the
 buffer's bytes are values[lo:hi] in order (for odd hi - lo the buffer has
-one more entry, whose low byte is the last even value and whose high byte,
-n = hi, is cut off). For lo > 0, lo is a multiple of the segment length L
-and hi <= lo + L <= 2 lo, so every even n in [lo, hi) has n/2 < lo: its
-half lies in a segment finished earlier, so reading values[lo/2 : (hi + 1)/2]
-into one reused buffer, adding 1 there in place, clearing the low bytes and
-or-ing the buffer in completes the segment. The first
-segment is its own source: values[0] = 0, the sieve gives Omega(1) = 0,
-and doubling the block [a, 2a) fills the even entries of [2a, 4a), whose
-halves are final by then. So the table is one ordered stream of finished
-blocks. build_omega_table copies them into memory; write_omega_table
-appends them to the cache file and reads each segment's halves back from
-the bytes it has written, so it holds O(segment) memory at any limit.
-With more than one worker, threads sieve the packed buffers of the next
-segments while the calling thread completes and writes them in order, and
-at most `workers` segments are in flight.
+one more entry, whose high byte, n = hi, is cut off). That low byte is
+Omega(lo/2 + i) + 1, and the halves values[lo/2 : lo/2 + ceil((hi - lo)/2)]
+end at or below lo, since hi <= 2 lo: they lie in spans finished before.
+Reading them into one reused buffer, adding 1 there in place, clearing the
+low bytes and or-ing the buffer in completes the span. The first span,
+n = 0 and 1, needs no halves: the cleared low byte is values[0] = 0, and
+the sieve gives Omega(1) = 0. So the table is one ordered stream of
+finished blocks. build_omega_table copies them into memory;
+write_omega_table appends them to the cache file and reads each span's
+halves back from the bytes it has written, so it holds O(segment) memory
+at any limit. With more than one worker, threads sieve the packed buffers
+of the next spans while the calling thread completes and writes them in
+order, and at most `workers` spans are in flight.
 
-A cache file is a 13-byte header followed by the values. load_table maps
-it read-only instead of copying it: processes that load one file share its
-page-cache pages, and each process's RSS counts only the pages it touches.
-Truncating a mapped file in place would make later reads raise SIGBUS;
-the writers never do that, since they write a new file (mkstemp) and
-rename it over the old one (os.replace).
+A cache file is a 13-byte header followed by the values. Both writers,
+save_table and write_omega_table, go through _publish: it fails with ENOSPC
+before writing if the file system has less free space than the file needs,
+writes a new file (mkstemp), checks its length, and renames it over the
+old one (os.replace), so a failed write leaves nothing behind. load_table
+maps a file read-only instead of copying it: processes that load one file
+share its page-cache pages, and each process's RSS counts only the pages it
+touches. Truncating a mapped file in place would make later reads raise
+SIGBUS; the writers never do that, since they only ever rename a new file
+over the old one.
 
 This module only builds, saves and loads tables, and a table (so a cache
 file) always holds Omega(n); counting in one is the census module's job.
@@ -275,44 +280,25 @@ def _scatter(packed: np.ndarray, firsts: np.ndarray, powers: np.ndarray,
         a = b
 
 
-def _fill_even(values: np.ndarray) -> None:
-    """Set every even entry of a table prefix from its half once the odd entries are final.
-
-    Omega(2m) = Omega(m) + 1. Doubling the block [a, 2a) fills the even
-    entries of [2a, 4a), whose halves are all final by then, and writes in
-    place without a temporary.
-    """
-    half = (len(values) - 1) // 2 + 1
-    a = 1
-    while a < half:
-        b = min(2 * a, half)
-        np.add(values[a:b], 1, out=values[2 * a : 2 * b : 2])
-        a = b
-
-
-def _check_build(limit: int, segment_size: int | None, workers: int) -> int:
-    """Validate the build arguments; returns the segment size, derived if None."""
+def _check_build(limit: int, segment_size: int, workers: int) -> None:
+    """Reject build arguments out of range."""
     if limit < 2:
         raise ValueError(f"need limit >= 2, got {limit}")
     if limit >= LIMIT_BOUND:
         raise ValueError(f"need limit < 2**34 for the log accumulator, got {limit}")
-    if segment_size is None:
-        segment_size = DEFAULT_SEGMENT_SIZE
     if segment_size < 2:
         raise ValueError(f"need segment_size >= 2, got {segment_size}")
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    return segment_size
 
 
-def _packed_segments(spans: list[tuple[int, int]], plan: _SievePlan, workers: int):
+def _packed_segments(spans: list[tuple[int, int]], length: int, plan: _SievePlan,
+                     workers: int):
     """Yield the packed buffer of each span in order, with at most `workers` in flight.
 
-    The spans share `workers` buffers, so a yielded buffer is overwritten
-    once the next one is asked for.
+    The spans share `workers` buffers of length entries, so a yielded
+    buffer is overwritten once the next one is asked for.
     """
-    # the first span, [0, hi), is the longest
-    length = (spans[0][1] + 1) // 2
     buffers = [np.empty(length, dtype="<u2") for _ in range(min(workers, len(spans)))]
 
     def sieve(i: int) -> np.ndarray:
@@ -342,36 +328,38 @@ def _packed_segments(spans: list[tuple[int, int]], plan: _SievePlan, workers: in
 
 
 def _omega_blocks(limit: int, segment_size: int, workers: int, halves):
-    """Yield values[lo:hi] of the table for consecutive segments, as uint8 arrays.
+    """Yield values[lo:hi] of the table for consecutive spans, as uint8 arrays.
 
     halves(a, out) fills the uint8 array out with values[a : a + len(out)],
-    and is only asked for entries below the lo of the block being made, all
-    in blocks yielded before. A yielded block is a view of a reused buffer,
-    valid until the next one is asked for.
+    and is only asked for entries below the lo of the block being made
+    (a + len(out) <= lo), all in blocks yielded before. A yielded block is
+    a view of a reused buffer, valid until the next one is asked for.
     """
     step = segment_size & ~1
-    plan = _sieve_plan(limit)
-    spans = [(lo, min(lo + step, limit + 1)) for lo in range(0, limit + 1, step)]
-    # every later span needs at most as many halves as the first has entries
-    buf = np.empty((spans[0][1] + 1) // 2, dtype=np.uint8)
-    for (lo, hi), packed in zip(spans, _packed_segments(spans, plan, workers)):
-        block = packed.view(np.uint8)[: hi - lo]
-        if lo == 0:
-            block[0] = 0
-            _fill_even(block)
-        else:
-            # low byte of entry i: Omega(lo + 2i) = Omega(lo/2 + i) + 1
+    # [0, 2), then spans doubling in length up to step, then spans of step,
+    # so every span [lo, hi) after the first has hi <= 2 lo
+    spans = [(0, 2)]
+    while spans[-1][1] <= limit:
+        lo = spans[-1][1]
+        spans.append((lo, min(lo + min(lo, step), limit + 1)))
+    length = max((hi - lo + 1) // 2 for lo, hi in spans)
+    buf = np.empty(length, dtype=np.uint8)
+    for (lo, hi), packed in zip(spans, _packed_segments(spans, length, _sieve_plan(limit),
+                                                         workers)):
+        # the cleared low byte of [0, 2) is Omega(0) = 0; every later low byte
+        # of entry i is Omega(lo + 2i) = Omega(lo/2 + i) + 1
+        packed &= 0xFF00
+        if lo > 0:
             low = buf[: len(packed)]
             halves(lo >> 1, low)
             np.add(low, 1, out=low)
-            packed &= 0xFF00
             packed |= low
-        yield block
+        yield packed.view(np.uint8)[: hi - lo]
 
 
 def build_omega_table(
     limit: int,
-    segment_size: int | None = None,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> OmegaTable:
     """Build the table of Omega(n), with multiplicity, for 0..limit by segmented sieving.
@@ -381,10 +369,10 @@ def build_omega_table(
     limit : int
         Inclusive upper bound, 2 <= limit < 2^34 (the range in which the
         log accumulator is proven exact, see the module docstring).
-    segment_size : int, optional
+    segment_size : int
         Numbers processed per segment, rounded down to even; affects memory
-        and speed only, never the result. By default DEFAULT_SEGMENT_SIZE
-        (2^21) at every limit.
+        and speed only, never the result. DEFAULT_SEGMENT_SIZE (2^21) by
+        default, at every limit.
     workers : int
         Threads that sieve segments ahead of the calling thread, which
         completes them in order (one worker sieves in the calling thread).
@@ -397,7 +385,7 @@ def build_omega_table(
     MemoryError
         If the table cannot be allocated; no partial table is returned.
     """
-    segment_size = _check_build(limit, segment_size, workers)
+    _check_build(limit, segment_size, workers)
     values = np.empty(limit + 1, dtype=np.uint8)
     lo = 0
 
@@ -432,20 +420,31 @@ def _read_into(fd: int, buf: np.ndarray, offset: int) -> None:
         view, offset = view[got:], offset + got
 
 
-def _publish(path: Path, write) -> float:
-    """Run write(fd) on a new temporary file beside path, then rename it over path.
+def _publish(path: Path, size: int, write) -> float:
+    """Run write(fd) on a new temporary file beside path, check it, then rename it over path.
 
-    A uniquely named file (mkstemp) means concurrent writers never share a
-    file, and the rename (os.replace) means readers see either the old
-    table or the new one. On any exception the temporary file is removed
-    and path is left as it was. Returns the seconds the rename took.
+    Fails with ENOSPC, before anything is written, if the file system has
+    less than size bytes free, and with CacheCorruptionError if write(fd)
+    leaves a file of another length. A uniquely named file (mkstemp) means
+    concurrent writers never share a file, and the rename (os.replace)
+    means readers see either the old table or the new one. On any
+    exception the temporary file is removed and path is left as it was.
+    Returns the seconds the rename took.
     """
+    stat = os.statvfs(path.parent)
+    free = stat.f_bavail * stat.f_frsize
+    if free < size:
+        raise OSError(errno.ENOSPC, f"{path.name} needs {size} bytes, "
+                                    f"{path.parent} has {free} free")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         try:
             write(fd)
+            found = os.fstat(fd).st_size
         finally:
             os.close(fd)
+        if found != size:
+            raise CacheCorruptionError(f"{path}: wrote {found} bytes, expected {size}")
         started = time.perf_counter()
         os.replace(tmp, path)
         return time.perf_counter() - started
@@ -457,7 +456,7 @@ def _publish(path: Path, write) -> float:
 def write_omega_table(
     limit: int,
     path: str | Path,
-    segment_size: int | None = None,
+    segment_size: int = DEFAULT_SEGMENT_SIZE,
     workers: int = 1,
 ) -> float:
     """Sieve the table of 0..limit straight into a cache file at path.
@@ -478,14 +477,7 @@ def write_omega_table(
         checked before anything is written; any error writing the file.
         No temporary file is left behind, and path is left as it was.
     """
-    segment_size = _check_build(limit, segment_size, workers)
-    path = Path(path)
-    size = HEADER_SIZE + limit + 1
-    stat = os.statvfs(path.parent)
-    free = stat.f_bavail * stat.f_frsize
-    if free < size:
-        raise OSError(errno.ENOSPC, f"a table of limit {limit} needs {size} bytes, "
-                                    f"{path.parent} has {free} free")
+    _check_build(limit, segment_size, workers)
 
     def write(fd: int) -> None:
         _write_all(fd, _header(limit))
@@ -495,27 +487,24 @@ def write_omega_table(
 
         for block in _omega_blocks(limit, segment_size, workers, halves):
             _write_all(fd, block)
-        found = os.fstat(fd).st_size
-        if found != size:
-            raise CacheCorruptionError(f"{path}: wrote {found} bytes, expected {size}")
 
-    return _publish(path, write)
+    return _publish(Path(path), HEADER_SIZE + limit + 1, write)
 
 
 def save_table(table: OmegaTable, path: str | Path) -> None:
     """Write the table in the binary cache format (magic, version, limit, bytes).
 
-    The bytes go to a uniquely named temporary file in the same directory,
-    which then replaces path, so concurrent writers never share a file and
-    readers see either the old table or the new one. The payload is written
-    straight from the array's buffer.
+    The payload is written straight from the array's buffer, through
+    _publish: concurrent writers never share a file, readers see either the
+    old table or the new one, and a file system without room for the file
+    raises ENOSPC before anything is written, leaving path as it was.
     """
 
     def write(fd: int) -> None:
         _write_all(fd, _header(table.limit))
         _write_all(fd, np.ascontiguousarray(table.values))
 
-    _publish(Path(path), write)
+    _publish(Path(path), HEADER_SIZE + table.limit + 1, write)
 
 
 def load_table(path: str | Path) -> OmegaTable:

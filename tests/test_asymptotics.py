@@ -7,7 +7,6 @@ from aptuple.asymptotics import (
     almost_prime_count_asymptotic,
     loglog_power_product,
     predicted_tuple_count,
-    successor_ratio,
 )
 from aptuple.patterns import Requirements
 
@@ -22,25 +21,6 @@ def test_leading_order_examples():
     k2 = almost_prime_count_asymptotic(X7, 2)
     assert abs(k2 - k1 * LOGLOG_X7) < 1e-6
     assert abs(LOGLOG_X7 - 2.780) < 1e-3
-
-
-def test_successor_ratio():
-    x100 = 1e100
-    assert abs(successor_ratio(x100, 5) - 1.088) < 1e-3
-    assert successor_ratio(x100, 5) > 1
-    assert abs(successor_ratio(x100, 6) - 0.906) < 1e-3
-    assert successor_ratio(x100, 6) < 1
-    boundary = math.exp(math.exp(2.0))
-    assert abs(successor_ratio(boundary, 2) - 1.0) < 1e-12
-
-
-def test_successor_ratio_dichotomy():
-    for exponent in (5, 7, 9, 12):
-        x = 10.0**exponent
-        loglog = math.log(math.log(x))
-        for k in range(1, 7):
-            ratio = successor_ratio(x, k)
-            assert (ratio > 1) == (k < loglog)
 
 
 def test_predicted_pair_count():
@@ -87,8 +67,6 @@ def test_domain_errors():
         almost_prime_count_asymptotic(X7, 0)
     with pytest.raises(ValueError):
         almost_prime_count_asymptotic(X7, 21)
-    with pytest.raises(ValueError):
-        successor_ratio(99, 1)
     for correction in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             predicted_tuple_count(1.0, Requirements((1, 2)), X7, correction=correction)

@@ -367,6 +367,9 @@ def test_calibrate_rejects_repeated_scales(capsys, tmp_path):
     # once misreported as a theoretical count below 50, after the cache was built
     (["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1,1", "--x", "1000"],
      "requirements length 3"),
+    # once the bare message of int(), naming neither the flag nor its text
+    (["calibrate", "--base", "0,2", "--scales", "1,x", "--k", "1,1", "--x", "1e4"],
+     "bad --scales '1,x': invalid literal for int() with base 10: 'x'"),
 ])
 def test_calibrate_and_tables_reject_arguments_before_the_cache(capsys, tmp_path, monkeypatch,
                                                                 argv, message):

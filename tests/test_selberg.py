@@ -16,7 +16,6 @@ from aptuple.selberg import (
     primorial_pattern_table,
     selberg_constant,
     triple_constant_closed_form,
-    twin_prime_constant_truncated,
 )
 
 PRIME_LIMIT = 10**6
@@ -120,6 +119,13 @@ def test_convergence_within_tail_bound(offsets):
     high = selberg_constant(Pattern(offsets), 2 * 10**5)
     assert abs(high.value - low.value) < low.tail_bound
     assert high.tail_bound < low.tail_bound
+
+
+def twin_prime_constant_truncated(prime_limit: int) -> float:
+    """prod_{2 < p <= P} (1 - 1/(p-1)^2); converges to C2 from above like 1/(P log P)."""
+    primes = primes_up_to(prime_limit).astype(np.float64)
+    primes = primes[primes > 2]
+    return float(np.exp(np.sum(np.log1p(-1.0 / (primes - 1.0) ** 2))))
 
 
 def test_twin_prime_constant_dual_route():
@@ -261,7 +267,6 @@ def test_huge_prime_limit_fails_before_sieving(monkeypatch):
         lambda: selberg_constant(Pattern((0, 2)), PRIME_LIMIT_BOUND + 1),
         lambda: selberg_constant(Pattern((0, 2)), 10**10),
         lambda: triple_constant_closed_form(10**10),
-        lambda: twin_prime_constant_truncated(10**10),
     ):
         with pytest.raises(ValueError, match=str(PRIME_LIMIT_BOUND)):
             call()

@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import inspect
 import math
 import multiprocessing
 import random
@@ -423,19 +424,21 @@ def _saved_bytes(path, limit):
 def test_streamed_file_equals_saved_table_small(tmp_path, workers):
     for limit in [*range(2, 61), 99, 100, 101]:
         want = _saved_bytes(tmp_path / "saved.bin", limit)
-        for segment_size in (2, 3, 999, None):
+        for segment_size in (2, 3, 999, None):  # None: the default segment size
             path = tmp_path / "streamed.bin"
-            ap.write_omega_table(limit, path, segment_size=segment_size, workers=workers)
+            sized = {} if segment_size is None else {"segment_size": segment_size}
+            ap.write_omega_table(limit, path, workers=workers, **sized)
             assert path.read_bytes() == want, (limit, segment_size)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("segment_size", [999, None])
+@pytest.mark.parametrize("segment_size", [999, None])  # None: the default segment size
 # 2 WHEEL + 7: segments of 999 wrap the template period many times
 @pytest.mark.parametrize("limit", [2 * WHEEL + 7, 10**5, 10**5 + 1])
 def test_streamed_file_equals_saved_table(tmp_path, limit, segment_size, workers):
     path = tmp_path / "streamed.bin"
-    ap.write_omega_table(limit, path, segment_size=segment_size, workers=workers)
+    sized = {} if segment_size is None else {"segment_size": segment_size}
+    ap.write_omega_table(limit, path, workers=workers, **sized)
     assert path.read_bytes() == _saved_bytes(tmp_path / "saved.bin", limit)
 
 
@@ -531,8 +534,25 @@ def test_stream_argument_errors_write_nothing(tmp_path):
 
 
 @pytest.mark.parametrize("limit", [2, 2**27, 10**9, LIMIT_BOUND - 1])
-def test_default_segment_is_one_size_for_every_limit(limit):
-    assert sieve._check_build(limit, None, 1) == DEFAULT_SEGMENT_SIZE
+def test_default_segment_is_one_size_for_every_limit(tmp_path, monkeypatch, limit):
+    for build in (ap.build_omega_table, ap.write_omega_table):
+        assert inspect.signature(build).parameters["segment_size"].default == DEFAULT_SEGMENT_SIZE
+
+    # the spans a default build sieves, caught before any is sieved
+    class Spans(Exception):
+        pass
+
+    def record(spans, length, plan, workers):
+        raise Spans(spans)
+
+    monkeypatch.setattr(sieve, "_packed_segments", record)
+    roomy = SimpleNamespace(f_bavail=1 << 40, f_frsize=1)
+    monkeypatch.setattr(sieve.os, "statvfs", lambda path: roomy)
+    with pytest.raises(Spans) as info:
+        ap.write_omega_table(limit, tmp_path / "omega.bin")
+    longest = max(hi - lo for lo, hi in info.value.args[0])
+    assert longest <= DEFAULT_SEGMENT_SIZE
+    assert longest == DEFAULT_SEGMENT_SIZE or limit < 2 * DEFAULT_SEGMENT_SIZE
     # the template holds one wheel period, or every odd index of a shorter table
     assert len(_sieve_plan(limit).template) == min(WHEEL, (limit + 1) // 2)
 
@@ -565,3 +585,55 @@ def test_scattered_powers_of_one_prime_share_an_n():
     assert 49 * sieve.SPARSE_HITS >= (hi - lo) // 2
     omega = _segment_omega(lo, hi, _sieve_plan(10**6), np.empty(2048, "<u2")) >> 8
     assert omega.tolist() == [trial_division_omega(n) for n in range(lo + 1, hi, 2)]
+
+
+@pytest.mark.parametrize("segment_size, top", [
+    (2, 12), (3, 12), (4, 12), (999, 22), (DEFAULT_SEGMENT_SIZE, 22),
+])
+def test_halves_come_from_finished_blocks(monkeypatch, segment_size, top):
+    # the contract the proof of final bytes rests on: every halves request
+    # ends at or below the lo of the block being made; the sieve itself is
+    # stubbed out, since only the requests are checked
+    monkeypatch.setattr(sieve, "_segment_omega", lambda lo, hi, plan, packed: packed)
+    for limit in [*range(2, 10), *(2**k + d for k in range(2, top + 1) for d in (-1, 1)), 100_001]:
+        made = 0
+
+        def halves(a, out):
+            assert a + len(out) <= made, (limit, a, len(out), made)
+
+        for block in sieve._omega_blocks(limit, segment_size, 1, halves):
+            made += len(block)
+        assert made == limit + 1
+
+
+def test_save_fails_early_on_a_full_disk(tmp_path, monkeypatch):
+    path = tmp_path / "omega.bin"
+    before = _saved_bytes(path, 10_000)
+    free = SimpleNamespace(f_bavail=100_013, f_frsize=1)  # one byte short of limit 10^5
+    monkeypatch.setattr(sieve.os, "statvfs", lambda path: free)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("opened a file on a full disk")
+
+    monkeypatch.setattr(sieve.tempfile, "mkstemp", refuse)
+    with pytest.raises(OSError) as info:
+        ap.save_table(ap.build_omega_table(10**5), path)
+    assert info.value.errno == errno.ENOSPC
+    assert "100014" in str(info.value) and "100013" in str(info.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["omega.bin"]
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("writer", [
+    lambda path: ap.save_table(ap.build_omega_table(10**4), path),
+    lambda path: ap.write_omega_table(10**4, path),
+], ids=["save", "stream"])
+def test_writers_check_the_written_length(tmp_path, monkeypatch, writer):
+    path = tmp_path / "omega.bin"
+    before = _saved_bytes(path, 1_000)
+    header = sieve._header
+    monkeypatch.setattr(sieve, "_header", lambda limit: header(limit) + b"\0")
+    with pytest.raises(CacheCorruptionError, match="wrote 10015 bytes, expected 10014"):
+        writer(path)
+    assert [p.name for p in tmp_path.iterdir()] == ["omega.bin"]
+    assert path.read_bytes() == before
