@@ -24,17 +24,6 @@ def _check_x(x: float) -> None:
         raise ValueError(f"need x >= {MIN_X:.0f} for the asymptotic regime, got {x}")
 
 
-def almost_prime_count_asymptotic(x: float, k: int) -> float:
-    """Leading-order count of k-almost primes up to x."""
-    _check_x(x)
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if k > MAX_DEMAND:
-        raise ValueError(f"factor-count demand {k} beyond supported range {MAX_DEMAND}")
-    logx = math.log(x)
-    return x / logx * math.log(logx) ** (k - 1) / math.factorial(k - 1)
-
-
 def loglog_power_product(requirements: Requirements, x: float) -> float:
     """prod_i (log log x)^(k_i - 1) / (k_i - 1)!.
 
@@ -69,3 +58,8 @@ def predicted_tuple_count(
     m = len(requirements)
     base = x / math.log(x) ** m
     return correction * series * base * loglog_power_product(requirements, x)
+
+
+def almost_prime_count_asymptotic(x: float, k: int) -> float:
+    """Leading-order count of k-almost primes up to x: one position, so S = 1."""
+    return predicted_tuple_count(1.0, Requirements((k,)), x)

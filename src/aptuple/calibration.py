@@ -23,6 +23,7 @@ from .census import count_patterns
 from .patterns import (
     Pattern,
     Requirements,
+    _check_length,
     distance_gcd_prime_support,
     is_admissible,
     scale_pattern,
@@ -127,10 +128,7 @@ def _check_calibration(
     _check_x(x)
     _check_prime_limit(prime_limit, len(family.base))
     for requirements in requirement_list:
-        if len(requirements) != len(family.base):
-            raise ValueError(
-                f"pattern length {len(family.base)} != requirements length {len(requirements)}"
-            )
+        _check_length(family.base, requirements)
 
 
 def calibrate_all(

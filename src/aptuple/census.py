@@ -7,11 +7,12 @@ pass: the range of tuple starts is cut into cache-sized blocks, each
 distinct (offset, demand) test is evaluated once per block into one bool
 scratch and packed into a row of uint64 words, and each (pattern, vector)
 row ANDs its words and counts their bits. For odd n the block's odd
-entries (and, for odd offsets, its even entries) are first split out of a
-little-endian uint16 view of the block, so every test reads a unit-stride
-slice. Buffers are allocated once per range; inside the block loop only
-packbits allocates, W/8 bytes per test. Block partials combine by integer
-addition, so any block size or worker count yields the same totals.
+entries (and, for odd offsets, its even entries) are first split out of
+little-endian uint16 views of the block, one shift each, so every test
+reads a unit-stride slice. Buffers are allocated once per range; inside the
+block loop only packbits allocates, W/8 bytes per test. Block partials
+combine by integer addition, so any block size or worker count yields the
+same totals.
 
 A single position needs no scan per k: k_histogram bins the whole range
 once and gives the count of every Omega value.
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .patterns import Pattern, Requirements
+from .patterns import Pattern, Requirements, _check_length
 from .sieve import OmegaTable, TableBoundError
 
 BLOCK = 1 << 18  # tuple starts per block; of 2^15..2^19, 2^18 measured fastest
@@ -43,16 +44,18 @@ class CensusQuery:
     mode: str = "exact"
 
     def __post_init__(self):
-        if len(self.pattern) != len(self.requirements):
-            raise ValueError(
-                f"pattern length {len(self.pattern)} != requirements length {len(self.requirements)}"
-            )
+        _check_length(self.pattern, self.requirements)
         if self.parity not in ("odd", "all"):
             raise ValueError(f"parity must be 'odd' or 'all', got {self.parity!r}")
         if self.mode not in ("exact", "atmost"):
             raise ValueError(f"mode must be 'exact' or 'atmost', got {self.mode!r}")
         if self.x < 1:
             raise ValueError(f"need x >= 1, got {self.x}")
+
+
+def _needed_limit(x: int, patterns: Sequence[Pattern]) -> int:
+    """The table limit a census of patterns up to x reads: x plus the widest offset."""
+    return x + max((pattern.max_offset for pattern in patterns), default=0)
 
 
 @dataclass(frozen=True)
@@ -117,22 +120,13 @@ def _count_range(
         n = min(width, hi - start)
         used = -(-n // 64)
         bits[n:] = False
-        if odd:
-            # pair i of the little-endian uint16 view holds values[2(s + i)] in its
-            # low byte and values[2(s + i) + 1] in its high byte: projection 0 is
-            # the high byte of pair i, projection 1 the low byte of pair i + 1
-            first = 2 * start
-            stop = min(first + 2 * max(n + halo + b for b, halo in halos.items()), len(values))
-            pairs = values[first : stop - (stop - first) % 2].view("<u2")
-            for b, buf in projections.items():
-                length = n + halos[b]
-                if b == 0:
-                    np.right_shift(pairs[:length], 8, out=buf[:length], casting="unsafe")
-                    continue
-                paired = min(length, len(pairs) - 1)
-                np.bitwise_and(pairs[1 : 1 + paired], 0xFF, out=buf[:paired], casting="unsafe")
-                if paired < length:  # an even limit's last entry has no partner byte
-                    buf[paired] = values[first + 2 * paired + 2]
+        # pair i of the little-endian uint16 view from byte 2s + b holds projection b
+        # in its high byte; the view's last byte is the last entry the block reads
+        for b, buf in projections.items():
+            length = n + halos[b]
+            first = 2 * start + b
+            pairs = values[first : first + 2 * length].view("<u2")
+            np.right_shift(pairs, 8, out=buf[:length], casting="unsafe")
         for h, tests in plan.groups:
             if odd:
                 window = projections[h & 1][h >> 1 : (h >> 1) + n]
@@ -182,7 +176,7 @@ def count_patterns(
             CensusQuery(pattern, requirements, x, parity=parity, mode=mode)
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
-    needed = x + max((pattern.max_offset for pattern in patterns), default=0)
+    needed = _needed_limit(x, patterns)
     if needed > table.limit:
         raise TableBoundError(
             f"census needs table limit >= {needed}, have {table.limit}"

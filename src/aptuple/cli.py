@@ -106,20 +106,27 @@ def _next_power_of_two(n: int) -> int:
     return 1 << max(1, (n - 1).bit_length())
 
 
+def _cache_file(cache_dir: str | Path | None) -> Path:
+    """The table file in cache_dir (None: default_cache_dir()), its directory made."""
+    directory = default_cache_dir() if cache_dir is None else Path(cache_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory / CACHE_FILENAME
+
+
 def ensure_table(
-    min_limit: int, cache_dir: Path, workers: int = 1
+    min_limit: int, cache_dir: str | Path | None, workers: int = 1
 ) -> tuple[OmegaTable, Path, bool]:
     """Load the cached table if it covers min_limit, else rebuild and persist.
 
-    Rebuilds round the limit up to the next power of two so subsequent
-    queries at nearby bounds reuse the same file, but never past the
-    largest limit the sieve accepts. A rebuild streams the table into the
-    cache file and then maps it, so it never holds the table in memory.
+    A cache_dir of None means default_cache_dir(). Rebuilds round the
+    limit up to the next power of two so subsequent queries at nearby
+    bounds reuse the same file, but never past the largest limit the sieve
+    accepts. A rebuild streams the table into the cache file and then maps
+    it, so it never holds the table in memory.
     """
     from .sieve import LIMIT_BOUND, load_table, write_omega_table
 
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / CACHE_FILENAME
+    path = _cache_file(cache_dir)
     if path.exists():
         table = load_table(path)
         if table.limit >= min_limit:
@@ -132,12 +139,7 @@ def ensure_table(
 def _cmd_sieve(args) -> int:
     from .sieve import HEADER_SIZE, write_omega_table
 
-    if args.out:
-        path = Path(args.out)
-    else:
-        cache = default_cache_dir() if args.cache is None else Path(args.cache)
-        cache.mkdir(parents=True, exist_ok=True)
-        path = cache / CACHE_FILENAME
+    path = Path(args.out) if args.out else _cache_file(args.cache)
     started = time.perf_counter()
     rename_s = write_omega_table(
         args.limit, path, segment_size=args.segment_size, workers=args.workers
@@ -193,15 +195,12 @@ def _cmd_selberg(args) -> int:
 
 def _cmd_predict(args) -> int:
     from .asymptotics import loglog_power_product, predicted_tuple_count
-    from .patterns import Pattern, Requirements
+    from .patterns import Pattern, Requirements, _check_length
     from .selberg import selberg_constant
 
     pattern = Pattern.parse(args.pattern)
     requirements = Requirements.parse(args.k)
-    if len(pattern) != len(requirements):
-        raise ValueError(
-            f"pattern length {len(pattern)} != requirements length {len(requirements)}"
-        )
+    _check_length(pattern, requirements)
     series = selberg_constant(pattern, args.prime_limit).value
     x = float(args.x)
     value = predicted_tuple_count(series, requirements, x, correction=args.correction)
@@ -221,15 +220,17 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _require_table(args, min_limit: int) -> tuple[OmegaTable, dict]:
-    """The cached table covering min_limit, and the JSON `cache` block.
+def _require_table(args, x: int, patterns) -> tuple[OmegaTable, dict]:
+    """The cached table a census of patterns up to x reads, and the JSON `cache` block.
 
     load_s is the time spent bringing the table in: mapping the cached
     file, or, when rebuilt is true, sieving and saving a new one first.
     """
-    cache = default_cache_dir() if args.cache is None else Path(args.cache)
+    from .census import _needed_limit
+
+    min_limit = _needed_limit(x, patterns)
     started = time.perf_counter()
-    table, path, rebuilt = ensure_table(min_limit, cache, workers=args.workers)
+    table, path, rebuilt = ensure_table(min_limit, args.cache, workers=args.workers)
     load_s = time.perf_counter() - started
     return table, {"path": str(path), "limit": table.limit, "rebuilt": rebuilt, "load_s": load_s}
 
@@ -241,7 +242,7 @@ def _cmd_count(args) -> int:
     pattern = Pattern.parse(args.pattern)
     requirements = Requirements.parse(args.k)
     query = CensusQuery(pattern, requirements, args.x, parity=args.parity, mode=args.mode)
-    table, cache = _require_table(args, args.x + pattern.max_offset)
+    table, cache = _require_table(args, args.x, [pattern])
     result = count_tuples(table, query, workers=args.workers)
     doc = {
         "pattern": str(pattern),
@@ -271,8 +272,7 @@ def _cmd_calibrate(args) -> int:
     family = PatternFamily(base, scales)
     requirements = Requirements.parse(args.k)
     _check_calibration(family, [requirements], args.x, args.prime_limit)  # before the table is built
-    max_offset = max(member.max_offset for member in family.members)
-    table, cache = _require_table(args, args.x + max_offset)
+    table, cache = _require_table(args, args.x, family.members)
     report = calibrate(
         table, family, requirements, args.x,
         prime_limit=args.prime_limit, parity=args.parity, mode=args.mode,
@@ -320,10 +320,8 @@ def _cmd_tables(args) -> int:
         _check_calibration(presets[name], [], args.x, args.prime_limit)  # before the table is built
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    margin = max(
-        member.offsets[-1] for name in TABLE_FAMILIES for member in presets[name].members
-    )
-    table, cache = _require_table(args, args.x + margin)
+    members = [member for name in TABLE_FAMILIES for member in presets[name].members]
+    table, cache = _require_table(args, args.x, members)
     report = reproduce_tables(table, args.x, prime_limit=args.prime_limit, workers=args.workers)
 
     tables = {
@@ -359,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", default=None, help=f"cache directory (default ${CACHE_ENV} or ~/.cache/aptuple)")
         p.add_argument("--workers", type=_parse_workers, default=1,
                        help="threads for sieving and census scans; on 2 vCPUs a second thread "
-                            "sieved 0.89-0.94x as fast as one, and censused a mapped 1e9 table "
-                            "0.94-1.45x as fast, depending on the patterns")
+                            "sieved 0.90-1.10x as fast as one (noise), and censused a mapped 1e9 "
+                            "table 0.94-1.45x as fast, depending on the patterns")
 
     p = sub.add_parser("sieve", help="build and persist a factor-count table")
     p.add_argument("--limit", type=_parse_bound, required=True)

@@ -87,6 +87,14 @@ class Requirements:
         return ",".join(str(k) for k in self.demands)
 
 
+def _check_length(pattern: Pattern, requirements: Requirements) -> None:
+    """Raise ValueError unless there is one demand per offset."""
+    if len(pattern) != len(requirements):
+        raise ValueError(
+            f"pattern length {len(pattern)} != requirements length {len(requirements)}"
+        )
+
+
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
     """Outcome of the coverage check.

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import random
 import sys
 import tracemalloc
@@ -207,13 +208,18 @@ def _random_family(rng, m):
 @pytest.mark.parametrize("block", [64, 100])
 @pytest.mark.parametrize("parity", ["odd", "all"])
 @pytest.mark.parametrize("mode", ["exact", "atmost"])
-def test_pattern_scan_matches_per_pattern_and_oracle(monkeypatch, block, parity, mode):
+def test_pattern_scan_matches_per_pattern_and_oracle(tmp_path, monkeypatch, block, parity, mode):
     # blocks of 64 and 100 starts leave partial blocks and padded words; the
-    # tables end exactly at x + h_max, so an even limit leaves an unpaired byte
+    # tables end exactly at x + h_max, where an odd offset reads projection 1
+    # up to an even limit's last byte. Each table is also saved and mapped
+    # back, whose 13-byte header puts the projection views at the other
+    # address parity.
     monkeypatch.setattr(census, "BLOCK", block)
     rng = random.Random(f"{block}-{parity}-{mode}")
     for limit in (1500, 1501):
-        table = ap.build_omega_table(limit)
+        built = ap.build_omega_table(limit)
+        ap.save_table(built, tmp_path / "omega.bin")
+        mapped = ap.load_table(tmp_path / "omega.bin")
         for m in (1, 2, 3):
             patterns = _random_family(rng, m)
             x = limit - max(p.max_offset for p in patterns)
@@ -228,15 +234,16 @@ def test_pattern_scan_matches_per_pattern_and_oracle(monkeypatch, block, parity,
                 tuple(_brute_force(p, v.demands, x, parity, mode) for v in vectors)
                 for p in patterns
             )
-            for workers in (1, 2, 3):
+            for table, workers in itertools.product((built, mapped), (1, 2, 3)):
                 got = count_patterns(table, patterns, vectors, x, parity, mode, workers)
-                assert got == want, (patterns, limit, workers)
+                assert got == want, (patterns, limit, table is mapped, workers)
                 assert got == tuple(
                     count_patterns(table, [p], vectors, x, parity, mode, workers)[0]
                     for p in patterns
                 )
-            with pytest.raises(TableBoundError):
-                count_patterns(table, patterns, vectors, x + 1, parity, mode)
+            for table in (built, mapped):
+                with pytest.raises(TableBoundError):
+                    count_patterns(table, patterns, vectors, x + 1, parity, mode)
 
 
 def test_count_demands_matches_count_tuples(table_big):

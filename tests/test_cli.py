@@ -136,6 +136,25 @@ def test_json_reports_cache(capsys, tmp_path, argv):
         assert block["load_s"] >= 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--pattern", "0,2", "--k", "1,1", "--x", "1024"],
+        ["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1", "--x", "4096"],
+        ["tables", "--x", "8192"],
+    ],
+)
+def test_cold_cache_covers_the_widest_offset(capsys, tmp_path, argv):
+    # x is a power of two, so only the widest offset makes the rebuild round up past it
+    if argv[0] == "tables":
+        argv = argv + ["--out", str(tmp_path / "tables")]
+    code, out, err = run_cli(capsys, *argv, "--cache", str(tmp_path / "cache"))
+    assert code == 0, err
+    x = int(argv[argv.index("--x") + 1])
+    limit = load_table(tmp_path / "cache" / "omega.bin").limit
+    assert json.loads(out)["cache"]["limit"] == limit == 2 * x
+
+
 def test_count_csv_has_no_cache_column(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "count", "--pattern", "0,2", "--k", "1,1", "--x", "1000",
