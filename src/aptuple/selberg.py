@@ -28,7 +28,7 @@ TWIN_PRIME_C2 = 0.66016181584686957
 
 # Largest prime_limit accepted: a series at 1e9 already peaks near 0.9 GB of RSS.
 PRIME_LIMIT_BOUND = 10**9
-GENERIC_CHUNK = 1 << 20  # primes per generic-product step; bounds its float temporaries
+GENERIC_CHUNK = 1 << 16  # primes per generic-product step; bounds its float temporaries
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 import functools
 import hashlib
 import itertools
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,10 +339,88 @@ def test_census_on_mapped_table(built_and_mapped, parity, mode):
 
 
 @pytest.mark.parametrize("parity", ["odd", "all"])
-def test_histogram_on_mapped_table(built_and_mapped, parity):
+def test_histogram_on_mapped_table(built_and_mapped, monkeypatch, parity):
+    # chunks of 5000 release pages at edges that are not page-aligned, and
+    # each histogram reads back the pages the one before released
     built, mapped = built_and_mapped
-    want = ap.k_histogram(built, built.limit, parity=parity)
-    assert np.array_equal(ap.k_histogram(mapped, mapped.limit, parity=parity), want)
+    monkeypatch.setattr(census, "HISTOGRAM_CHUNK", 5000)
+    for x in (built.limit, 12_345, built.limit):
+        want = ap.k_histogram(built, x, parity=parity)
+        assert np.array_equal(ap.k_histogram(mapped, x, parity=parity), want)
+
+
+@pytest.mark.parametrize("parity", ["odd", "all"])
+@pytest.mark.parametrize("mode", ["exact", "atmost"])
+def test_released_pages_keep_every_count(built_and_mapped, monkeypatch, parity, mode):
+    # blocks of 3000 starts release a few pages each, at edges that are not
+    # page-aligned; each scan of the same mapped table reads back the pages
+    # the scan before released. No page is released twice, none past the
+    # entries the scan's starts cover, and all but a page or two per chunk is.
+    built, mapped = built_and_mapped
+    monkeypatch.setattr(census, "BLOCK", 3000)
+    release = census._release
+    released = []
+
+    def spy(table, start, stop):
+        end = release(table, start, stop)
+        if end > start:
+            released.append((start, end))
+        return end
+
+    monkeypatch.setattr(census, "_release", spy)
+    x = 2**20 - 6
+    scale = 2 if parity == "odd" else 1
+    patterns = [Pattern((0, 2, 6)), Pattern((0, 1, 4))]
+    vectors = [Requirements(d) for d in ((1, 1, 2), (2, 2, 2))]
+    want = count_patterns(built, patterns, vectors, x, parity, mode)
+    assert released == []
+    for workers in (1, 2, 1, 2):
+        del released[:]
+        assert count_patterns(mapped, patterns, vectors, x, parity, mode, workers) == want
+        spans = sorted(released)
+        assert all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+        assert spans[-1][1] <= scale * ((x + 1) // 2 if parity == "odd" else x + 1)
+        assert sum(b - a for a, b in spans) > 0.9 * x
+
+
+RSS_PROBE = """
+import sys
+import aptuple as ap
+from aptuple.census import CensusQuery, count_tuples
+from aptuple.patterns import Pattern, Requirements
+
+def rss():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmRSS:"))
+
+table = ap.load_table(sys.argv[1])
+query = CensusQuery(Pattern((0, 2)), Requirements((1, 2)), table.limit - 2)
+before = rss()
+count = count_tuples(table, query).count
+counted = rss()
+ap.k_histogram(table, table.limit)
+print(count, counted - before, rss() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_mapped_census_keeps_little_of_the_table_resident(tmp_path):
+    # without releases, the scan and the histogram would each leave the whole
+    # 32 MiB payload resident; with them, a block's worth of pages and the
+    # scan's buffers remain
+    limit = 2**25
+    path = tmp_path / "omega.bin"
+    ap.write_omega_table(limit, path)
+    env = dict(os.environ, PYTHONPATH=str(Path(ap.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", RSS_PROBE, str(path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    count, census_growth, histogram_growth = map(int, done.stdout.split())
+    assert count == count_tuples(
+        ap.load_table(path), CensusQuery(Pattern((0, 2)), Requirements((1, 2)), limit - 2)
+    ).count
+    assert census_growth < limit / 4
+    assert histogram_growth < limit / 4
 
 
 def test_sieve_threads_give_identical_tables():

@@ -2,6 +2,7 @@ import errno
 import hashlib
 import inspect
 import math
+import mmap
 import multiprocessing
 import random
 import struct
@@ -17,12 +18,14 @@ from aptuple import sieve
 from aptuple._primes import primes_up_to, trial_division_omega
 from aptuple.sieve import (
     DEFAULT_SEGMENT_SIZE,
+    HEADER_SIZE,
     LIMIT_BOUND,
     CacheCorruptionError,
     CacheFormatError,
     OmegaTable,
     WHEEL,
     TableBoundError,
+    _release,
     _segment_omega,
     _sieve_plan,
 )
@@ -186,6 +189,32 @@ def test_build_argument_errors():
     # outside the proven range of the log accumulator; rejected before allocating
     with pytest.raises(ValueError):
         ap.build_omega_table(2**34)
+
+
+def test_build_checks_available_memory(monkeypatch):
+    monkeypatch.setattr(sieve, "_available_memory", lambda: 10_000)
+    with pytest.raises(MemoryError, match="needs 10001 bytes, only 10000 are available"):
+        ap.build_omega_table(10_000)
+    assert ap.build_omega_table(9_999).limit == 9_999
+    # argument errors, the 2^34 bound among them, still come first
+    with pytest.raises(ValueError):
+        ap.build_omega_table(2**34)
+    with pytest.raises(ValueError):
+        ap.build_omega_table(10**5, workers=0)
+    # where /proc/meminfo cannot be read there is no check
+    monkeypatch.setattr(sieve, "_available_memory", lambda: None)
+    assert ap.build_omega_table(10**5).limit == 10**5
+
+
+def test_available_memory_reads_meminfo():
+    available = sieve._available_memory()
+    try:
+        with open("/proc/meminfo") as fh:
+            fh.read()
+    except OSError:
+        assert available is None
+    else:
+        assert 0 < available < 2**50
 
 
 def test_count_k_almost_examples(table_small):
@@ -637,3 +666,83 @@ def test_writers_check_the_written_length(tmp_path, monkeypatch, writer):
         writer(path)
     assert [p.name for p in tmp_path.iterdir()] == ["omega.bin"]
     assert path.read_bytes() == before
+
+
+needs_madvise = pytest.mark.skipif(
+    getattr(mmap, "MADV_DONTNEED", None) is None, reason="mmap has no madvise here"
+)
+
+
+class _Advice:
+    """Stands in for a table's mapping and records each madvise call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def madvise(self, advice, start, length):
+        self.calls.append((advice, start, length))
+
+
+@needs_madvise
+@pytest.mark.parametrize("start,stop", [
+    (0, 10 * mmap.PAGESIZE),  # the header's page is never wholly payload
+    (1, 3 * mmap.PAGESIZE - HEADER_SIZE + 1),  # neither end page-aligned
+    (mmap.PAGESIZE - HEADER_SIZE, 3 * mmap.PAGESIZE - HEADER_SIZE),  # both aligned
+    (5 * mmap.PAGESIZE, 12 * mmap.PAGESIZE),  # stop past the end is cut there
+])
+def test_release_drops_only_whole_payload_pages(start, stop):
+    limit = 10 * mmap.PAGESIZE + 100
+    mapping = _Advice()
+    table = OmegaTable(limit=limit, values=np.zeros(limit + 1, dtype=np.uint8),
+                       _mapping=mapping)
+    first = -(-(HEADER_SIZE + start) // mmap.PAGESIZE) * mmap.PAGESIZE
+    end = (HEADER_SIZE + min(stop, limit + 1)) // mmap.PAGESIZE * mmap.PAGESIZE
+    assert _release(table, start, stop) == end - HEADER_SIZE
+    assert mapping.calls == [(mmap.MADV_DONTNEED, first, end - first)]
+    # every released byte is payload inside [start, stop), and nothing is
+    # released twice when the next release goes on from the returned entry
+    assert start <= first - HEADER_SIZE and end - HEADER_SIZE <= min(stop, limit + 1)
+    assert _release(table, end - HEADER_SIZE, stop) == end - HEADER_SIZE
+    assert len(mapping.calls) == 1
+
+
+@needs_madvise
+def test_release_within_one_page_does_nothing():
+    mapping = _Advice()
+    table = OmegaTable(limit=10**5, values=np.zeros(10**5 + 1, dtype=np.uint8),
+                       _mapping=mapping)
+    for start, stop in [(0, 100), (100, mmap.PAGESIZE), (10**5 - 50, 10**5 + 1), (7, 7)]:
+        assert _release(table, start, stop) == start
+    assert mapping.calls == []
+
+
+@needs_madvise
+def test_release_leaves_in_memory_tables_alone():
+    # values in a private anonymous mapping, whose pages MADV_DONTNEED would
+    # zero: a table built in memory has no mapping of its own to release
+    limit = 64 * mmap.PAGESIZE
+    anonymous = mmap.mmap(-1, limit + 1, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    values = np.frombuffer(anonymous, dtype=np.uint8)
+    values[:] = 7
+    table = OmegaTable(limit=limit, values=values)
+    assert table._mapping is None
+    assert _release(table, 0, limit + 1) == 0
+    assert np.all(values == 7)
+    built = ap.build_omega_table(limit)
+    assert _release(built, 0, limit + 1) == 0
+
+
+def test_released_pages_read_back_the_same(tmp_path):
+    # limit 2^17 + 5 leaves a partial last page; every release below, aligned
+    # or not, at either end or past it, is followed by a full read
+    path = tmp_path / "omega.bin"
+    built = ap.build_omega_table(2**17 + 5)
+    ap.save_table(built, path)
+    loaded = ap.load_table(path)
+    assert loaded._mapping is not None
+    assert "_mapping" not in repr(loaded)
+    page = mmap.PAGESIZE
+    for start, stop in [(0, loaded.limit + 1), (1, 5 * page + 3), (page - HEADER_SIZE, 9 * page),
+                        (loaded.limit - 2 * page, loaded.limit + 1), (loaded.limit, 10**9)]:
+        _release(loaded, start, stop)
+        assert np.array_equal(loaded.values, built.values), (start, stop)
