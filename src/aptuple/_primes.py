@@ -8,25 +8,17 @@ pattern offsets and scale factors.
 
 from __future__ import annotations
 
+import functools
 from math import isqrt
 
 import numpy as np
 
-_prime_cache: dict[int, np.ndarray] = {}
 
-
+@functools.lru_cache(maxsize=16)
 def primes_up_to(n: int) -> np.ndarray:
-    """Return all primes <= n as an int64 array (cached per bound)."""
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    cached = _prime_cache.get(n)
-    if cached is not None:
-        return cached
+    """Return all primes <= n as a read-only int64 array (cached per bound)."""
     primes = _sieve_odd(n)
     primes.flags.writeable = False
-    if len(_prime_cache) > 16:
-        _prime_cache.clear()
-    _prime_cache[n] = primes
     return primes
 
 

@@ -3,16 +3,19 @@
 Counts the n <= x (odd by default) for which every n + h_i carries exactly
 (or at most) its demanded number of prime factors. One scan serves every
 demand vector of every pattern given, so a whole pattern family costs one
-pass: the range of tuple starts is cut into cache-sized blocks, each
-distinct (offset, demand) test is evaluated once per block into one bool
-scratch and packed into a row of uint64 words, and each (pattern, vector)
-row ANDs its words and counts their bits. For odd n the block's odd
-entries (and, for odd offsets, its even entries) are first split out of
-little-endian uint16 views of the block, one shift each, so every test
-reads a unit-stride slice. Buffers are allocated once per range; inside the
-block loop only packbits allocates, W/8 bytes per test. Block partials
-combine by integer addition, so any block size or worker count yields the
-same totals.
+pass: the range of tuple starts is cut into cache-sized blocks, and each
+block first makes its sources, contiguous uint8 arrays of the block plus a
+halo. For all n the one source is a slice of the table; for odd n source b
+is projection b, the entries n + b, split out of a little-endian uint16
+view of the block by one shift. In at-most mode each source becomes w - 1
+in its buffer, once per block. Offset h reads source h & 1 from index
+h >> 1 for odd n, source 0 from index h for all n, so each distinct
+(offset, demand) test is one compare of a unit-stride slice into one bool
+scratch, packed into a row of uint64 words, and each (pattern, vector) row
+ANDs its words and counts their bits. Buffers are allocated once per range;
+inside the block loop only packbits allocates, W/8 bytes per test. Block
+partials combine by integer addition, so any block size or worker count
+yields the same totals.
 
 A single position needs no scan per k: k_histogram bins the whole range
 once and gives the count of every Omega value.
@@ -53,12 +56,17 @@ class CensusQuery:
 
     def __post_init__(self):
         _check_length(self.pattern, self.requirements)
-        if self.parity not in ("odd", "all"):
-            raise ValueError(f"parity must be 'odd' or 'all', got {self.parity!r}")
-        if self.mode not in ("exact", "atmost"):
-            raise ValueError(f"mode must be 'exact' or 'atmost', got {self.mode!r}")
-        if self.x < 1:
-            raise ValueError(f"need x >= 1, got {self.x}")
+        _check_conventions(self.x, self.parity, self.mode)
+
+
+def _check_conventions(x: int, parity: str, mode: str) -> None:
+    """Raise ValueError unless parity and mode are known and x >= 1."""
+    if parity not in ("odd", "all"):
+        raise ValueError(f"parity must be 'odd' or 'all', got {parity!r}")
+    if mode not in ("exact", "atmost"):
+        raise ValueError(f"mode must be 'exact' or 'atmost', got {mode!r}")
+    if x < 1:
+        raise ValueError(f"need x >= 1, got {x}")
 
 
 def _needed_limit(x: int, patterns: Sequence[Pattern]) -> int:
@@ -75,30 +83,35 @@ class CensusResult:
 
 @dataclass(frozen=True)
 class _Plan:
-    """Distinct (offset, demand) tests grouped by offset, and each row's tests."""
+    """Distinct (source, index, demand) tests, each row's tests, each source's halo."""
 
-    groups: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    tests: tuple[tuple[int, int, int], ...]
     rows: tuple[tuple[int, ...], ...]
-    n_tests: int
+    halos: dict[int, int]
 
 
-def _plan(rows: Sequence[Sequence[tuple[int, int]]], mode: str) -> _Plan:
-    """Index the distinct tests of rows of (offset, demand) pairs."""
-    index: dict[tuple[int, int], int] = {}
+def _plan(rows: Sequence[Sequence[tuple[int, int]]], odd: bool, exact: bool) -> _Plan:
+    """Map each distinct (offset h, demand k) test of rows to a read of one source.
+
+    For odd n, source b holds values[2(s + i) + 1 + b] (odd n at b = 0,
+    n + 1 at b = 1), so h reads source h & 1 from index h >> 1; for all n
+    the one source is values itself and h reads it from index h. A source's
+    halo is the largest index any test reads it from.
+    """
+    index: dict[tuple[int, int, int], int] = {}
+    halos: dict[int, int] = {}
     planned = []
     for pairs in rows:
         row = []
         for h, k in pairs:
-            if mode == "atmost":
+            b, j = (h & 1, h >> 1) if odd else (0, h)
+            if not exact:
                 # tested as w - 1 < k on uint8; every w >= 1 passes at k = 255
                 k = min(k, 255)
-            row.append(index.setdefault((h, k), len(index)))
+            halos[b] = max(halos.get(b, 0), j)
+            row.append(index.setdefault((b, j, k), len(index)))
         planned.append(tuple(row))
-    by_offset: dict[int, list[tuple[int, int]]] = {}
-    for (h, k), t in index.items():
-        by_offset.setdefault(h, []).append((t, k))
-    groups = tuple((h, tuple(tests)) for h, tests in sorted(by_offset.items()))
-    return _Plan(groups=groups, rows=tuple(planned), n_tests=len(index))
+    return _Plan(tests=tuple(index), rows=tuple(planned), halos=halos)
 
 
 def _count_range(
@@ -106,7 +119,13 @@ def _count_range(
 ) -> list[int]:
     """Per-row counts over the tuple-start indices [lo, hi).
 
-    Index s stands for n = 2s + 1 when odd, for n = s otherwise. All
+    Index s stands for n = 2s + 1 when odd, for n = s otherwise. Each block
+    of n starts first makes its sources, n + halo entries each: for odd n
+    projection b is one right_shift of the little-endian uint16 view from
+    byte 2s + b, whose last byte is the last entry the block reads; for all
+    n the source is a slice of values. In at-most mode each source then
+    becomes w - 1, once per block. Every test is then one compare of
+    sources[b][j : j + n] with k, packed into a row of uint64 words. All
     buffers are allocated here, once, and owned by the calling thread.
     A block at start s reads no entry below scale * s, so once it is done
     the pages of this range below the next block's start are released.
@@ -117,43 +136,31 @@ def _count_range(
     width = min(BLOCK, hi - lo)
     words = -(-width // 64)
     bits = np.zeros(64 * words, dtype=bool)  # bits past a block's starts stay False
-    masks = np.empty((plan.n_tests, words), dtype=np.uint64)
+    masks = np.empty((len(plan.tests), words), dtype=np.uint64)
     acc = np.empty(words, dtype=np.uint64)
     ones = np.empty(words, dtype=np.uint8)
-    shifted = np.empty(width, dtype=np.uint8)
-    # projection b holds values[2(s + i) + 1 + b]: odd n at b = 0, n + 1 at b = 1,
-    # so offset h reads projection h & 1 from index h >> 1
-    halos: dict[int, int] = {}
-    for h, _ in plan.groups if odd else ():
-        halos[h & 1] = max(halos.get(h & 1, 0), h >> 1)
-    projections = {b: np.empty(width + halo, dtype=np.uint8) for b, halo in halos.items()}
+    buffers = {b: np.empty(width + halo, dtype=np.uint8) for b, halo in plan.halos.items()}
+    # w - 1 < k  <=>  1 <= w <= k, since w = 0 wraps to 255
+    compare = np.equal if exact else np.less
+    sources: dict[int, np.ndarray] = {}
 
     totals = [0] * len(plan.rows)
     for start in range(lo, hi, width):
         n = min(width, hi - start)
         used = -(-n // 64)
         bits[n:] = False
-        # pair i of the little-endian uint16 view from byte 2s + b holds projection b
-        # in its high byte; the view's last byte is the last entry the block reads
-        for b, buf in projections.items():
-            length = n + halos[b]
-            first = 2 * start + b
-            pairs = values[first : first + 2 * length].view("<u2")
-            np.right_shift(pairs, 8, out=buf[:length], casting="unsafe")
-        for h, tests in plan.groups:
+        for b, buf in buffers.items():
+            length = n + plan.halos[b]
             if odd:
-                window = projections[h & 1][h >> 1 : (h >> 1) + n]
+                first = 2 * start + b
+                pairs = values[first : first + 2 * length].view("<u2")
+                source = np.right_shift(pairs, 8, out=buf[:length], casting="unsafe")
             else:
-                window = values[start + h : start + h + n]
-            if not exact:
-                # w - 1 < k  <=>  1 <= w <= k, since w = 0 wraps to 255
-                np.subtract(window, 1, out=shifted[:n])
-            for t, k in tests:
-                if exact:
-                    np.equal(window, k, out=bits[:n])
-                else:
-                    np.less(shifted[:n], k, out=bits[:n])
-                masks[t, :used] = np.packbits(bits[: 64 * used], bitorder="little").view(np.uint64)
+                source = values[start : start + length]
+            sources[b] = source if exact else np.subtract(source, 1, out=buf[:length])
+        for t, (b, j, k) in enumerate(plan.tests):
+            compare(sources[b][j : j + n], k, out=bits[:n])
+            masks[t, :used] = np.packbits(bits[: 64 * used], bitorder="little").view(np.uint64)
         for v, row in enumerate(plan.rows):
             if len(row) == 1:
                 np.bitwise_count(masks[row[0], :used], out=ones[:used])
@@ -185,26 +192,27 @@ def count_patterns(
     truncating the range. With workers > 1 the range is split into
     contiguous chunks, one thread and buffer set each.
     """
-    for pattern in patterns:
-        for requirements in demand_vectors:
-            CensusQuery(pattern, requirements, x, parity=parity, mode=mode)
+    _check_conventions(x, parity, mode)
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
+    for pattern in patterns:
+        for requirements in demand_vectors:
+            _check_length(pattern, requirements)
     needed = _needed_limit(x, patterns)
     if needed > table.limit:
         raise TableBoundError(
             f"census needs table limit >= {needed}, have {table.limit}"
         )
-    if not demand_vectors:
+    if not patterns or not demand_vectors:
         return tuple(() for _ in patterns)
+    odd, exact = parity == "odd", mode == "exact"
     plan = _plan(
-        [list(zip(p.offsets, r.demands)) for p in patterns for r in demand_vectors], mode
+        [list(zip(p.offsets, r.demands)) for p in patterns for r in demand_vectors], odd, exact
     )
-    odd = parity == "odd"
     lo, hi = (0, (x + 1) // 2) if odd else (1, x + 1)
 
     def count(span: tuple[int, int]) -> list[int]:
-        return _count_range(table, plan, odd, mode == "exact", *span)
+        return _count_range(table, plan, odd, exact, *span)
 
     blocks = -(-(hi - lo) // BLOCK)
     chunks = min(workers, blocks)

@@ -198,10 +198,10 @@ def test_small_blocks_match_oracle(table_small, monkeypatch, parity, mode):
                 assert got == want, (pattern, x, workers)
 
 
-def _random_family(rng, m):
-    """Three patterns of length m, the widest with an odd largest offset."""
+def _random_family(rng, m, widest=41):
+    """Three patterns of length m; the widest ends at the odd offset widest."""
     patterns = []
-    for width in (41, 23, 16):
+    for width in (widest, 23, 16):
         inner = rng.sample(range(1, width), m - 2) if m > 2 else []
         offsets = (0, *inner, width) if m > 1 else (0,)
         patterns.append(Pattern(offsets))
@@ -216,15 +216,17 @@ def test_pattern_scan_matches_per_pattern_and_oracle(tmp_path, monkeypatch, bloc
     # tables end exactly at x + h_max, where an odd offset reads projection 1
     # up to an even limit's last byte. Each table is also saved and mapped
     # back, whose 13-byte header puts the projection views at the other
-    # address parity.
+    # address parity. The last family's widest offset is odd and over twice
+    # the block, so under either parity the source it reads has a halo wider
+    # than a block.
     monkeypatch.setattr(census, "BLOCK", block)
     rng = random.Random(f"{block}-{parity}-{mode}")
     for limit in (1500, 1501):
         built = ap.build_omega_table(limit)
         ap.save_table(built, tmp_path / "omega.bin")
         mapped = ap.load_table(tmp_path / "omega.bin")
-        for m in (1, 2, 3):
-            patterns = _random_family(rng, m)
+        for m, widest in ((1, 41), (2, 41), (3, 41), (3, 2 * block + 11)):
+            patterns = _random_family(rng, m, widest)
             x = limit - max(p.max_offset for p in patterns)
             vectors = [
                 Requirements(tuple(rng.choice((1, 2, 3, 255, 300)) for _ in range(m)))
@@ -265,12 +267,30 @@ def test_count_demands_matches_count_tuples(table_big):
 
 
 def test_count_demands_validates_every_vector(table_small):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pattern length 2 != requirements length 1"):
         count_patterns(
             table_small, [Pattern((0, 2))], [Requirements((1, 1)), Requirements((1,))], 100
         )
     with pytest.raises(TableBoundError):
         count_patterns(table_small, [Pattern((0, 2))], [Requirements((1, 1))], table_small.limit)
+
+
+@pytest.mark.parametrize(
+    "patterns,vectors,arguments,named",
+    [
+        ([], [Requirements((1,))], {"x": -7, "parity": "bogus"}, "parity"),
+        ([Pattern((0, 2))], [], {"x": 0, "parity": "bogus", "mode": "nope"}, "parity"),
+        ([], [], {"x": 100, "mode": "nope"}, "mode"),
+        ([Pattern((0, 2))], [], {"x": 0}, "x"),
+        ([], [Requirements((1,))], {"x": 100, "workers": 0}, "workers"),
+    ],
+)
+def test_count_patterns_checks_arguments_before_any_early_return(
+    table_small, monkeypatch, patterns, vectors, arguments, named
+):
+    monkeypatch.setattr(census, "_count_range", lambda *a: pytest.fail("scanned"))
+    with pytest.raises(ValueError, match=rf"\b{named}\b"):
+        count_patterns(table_small, patterns, vectors, **arguments)
 
 
 def test_count_patterns_rejects_workers_below_one(table_small, monkeypatch):
