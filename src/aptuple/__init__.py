@@ -41,7 +41,6 @@ _EXPORTS = {
         "distance_gcd_prime_support",
         "is_admissible",
         "primorial",
-        "residues_mod_p",
         "scale_pattern",
     ),
     "selberg": (

@@ -1,9 +1,8 @@
 """Small shared prime utilities used across the package.
 
 Everything here is deliberately boring: a cached odd-only sieve for bulk
-prime generation, trial-division primality for tiny arguments, and
-trial-division factorization for the small integers that appear in
-pattern offsets and scale factors.
+prime generation, and trial-division factorization for the small integers
+that appear in pattern offsets and scale factors.
 """
 
 from __future__ import annotations
@@ -35,20 +34,6 @@ def _sieve_odd(n: int) -> np.ndarray:
     primes += 1
     primes[0] = 2  # odd[0] stands for 1, which is never crossed off
     return primes
-
-
-def is_prime(n: int) -> bool:
-    """Trial-division primality, adequate for the small moduli used here."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
 
 
 def distinct_prime_factors(n: int) -> tuple[int, ...]:

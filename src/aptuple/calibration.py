@@ -115,20 +115,41 @@ class CalibrationReport:
     rel_error_percent: float
 
 
-def _check_calibration(
+def _expected_counts(
     family: PatternFamily,
     requirement_list: Sequence[Requirements],
     x: int,
     prime_limit: int,
-) -> None:
-    """Raise ValueError for arguments calibrate_all cannot take, before any series or census.
+) -> list[float]:
+    """The shared theoretical count of each vector: all of calibrate_all that needs no table.
 
-    The CLI runs it before it builds or loads a table.
+    Raises ValueError for arguments calibrate_all cannot take, cheapest
+    checks first, and UnreliableSampleError for a count too small to
+    calibrate against. The CLI runs it before it builds or loads a table.
     """
     _check_x(x)
     _check_prime_limit(prime_limit, len(family.base))
     for requirements in requirement_list:
         _check_length(family.base, requirements)
+    if len(family.scales) < 2:
+        raise ValueError("need at least two family members for a spread estimate")
+
+    series_values = [selberg_constant(p, prime_limit).value for p in family.members]
+    if max(series_values) - min(series_values) > FAMILY_SERIES_TOLERANCE:
+        raise ValueError(
+            f"family members do not share a series value: spread "
+            f"{max(series_values) - min(series_values):.3e}"
+        )
+
+    # the base pattern's value, so member ordering cannot perturb the ratios
+    series = selberg_constant(family.base, prime_limit).value
+    theoreticals = [predicted_tuple_count(series, req, x) for req in requirement_list]
+    for theoretical in theoreticals:
+        if theoretical < MIN_THEORETICAL_COUNT:
+            raise UnreliableSampleError(
+                f"theoretical count {theoretical:.1f} below {MIN_THEORETICAL_COUNT:.0f}"
+            )
+    return theoreticals
 
 
 def calibrate_all(
@@ -147,27 +168,8 @@ def calibrate_all(
     shared theoretical count uses the base pattern's series value, which
     the members are verified to share before any counting happens.
     """
-    _check_calibration(family, requirement_list, x, prime_limit)
+    theoreticals = _expected_counts(family, requirement_list, x, prime_limit)
     members = family.members
-    if len(members) < 2:
-        raise ValueError("need at least two family members for a spread estimate")
-
-    series_values = [selberg_constant(p, prime_limit).value for p in members]
-    if max(series_values) - min(series_values) > FAMILY_SERIES_TOLERANCE:
-        raise ValueError(
-            f"family members do not share a series value: spread "
-            f"{max(series_values) - min(series_values):.3e}"
-        )
-
-    # the base pattern's value, so member ordering cannot perturb the ratios
-    series = selberg_constant(family.base, prime_limit).value
-    theoreticals = [predicted_tuple_count(series, req, x) for req in requirement_list]
-    for theoretical in theoreticals:
-        if theoretical < MIN_THEORETICAL_COUNT:
-            raise UnreliableSampleError(
-                f"theoretical count {theoretical:.1f} below {MIN_THEORETICAL_COUNT:.0f}"
-            )
-
     counts = count_patterns(
         table, members, requirement_list, x, parity=parity, mode=mode, workers=workers
     )
@@ -307,9 +309,13 @@ def symmetry_report(
 
 
 TABLE1_PRIMORIAL_COUNT = 5
-TABLE2_REQUIREMENTS = ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
-TABLE3_REQUIREMENTS = ((1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3))
-TABLE_FAMILIES = ("pair-reduced", "triple-full")  # presets behind Tables 2 and 3
+# the preset behind each of Tables 2 and 3, and the vectors it calibrates
+CORRECTION_TABLES = (
+    ("pair-reduced", tuple(map(Requirements, ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))))),
+    ("triple-full", tuple(map(Requirements, (
+        (1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3), (2, 3, 3), (3, 3, 3),
+    )))),
+)
 
 
 @dataclass(frozen=True)
@@ -349,20 +355,18 @@ def reproduce_tables(
         Table1Row(n, value, pair_constant_closed_form(n))
         for n, value in primorial_pattern_table(TABLE1_PRIMORIAL_COUNT, prime_limit)
     ]
-    pair_family, triple_family = (family_presets()[name] for name in TABLE_FAMILIES)
-
-    def correction_rows(family: PatternFamily, req_sets) -> tuple[CorrectionRow, ...]:
-        reports = calibrate_all(
-            table, family, [Requirements(demands) for demands in req_sets], x,
-            prime_limit=prime_limit, workers=workers,
-        )
-        return tuple(
+    presets = family_presets()
+    pair_corrections, triple_corrections = (
+        tuple(
             CorrectionRow(report.requirements, report.mean, report.rel_error_percent)
-            for report in reports
+            for report in calibrate_all(
+                table, presets[name], vectors, x, prime_limit=prime_limit, workers=workers
+            )
         )
-
+        for name, vectors in CORRECTION_TABLES
+    )
     return TablesReport(
         pair_constants=tuple(rows1),
-        pair_corrections=correction_rows(pair_family, TABLE2_REQUIREMENTS),
-        triple_corrections=correction_rows(triple_family, TABLE3_REQUIREMENTS),
+        pair_corrections=pair_corrections,
+        triple_corrections=triple_corrections,
     )

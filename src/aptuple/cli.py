@@ -261,7 +261,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    from .calibration import PatternFamily, _check_calibration, calibrate
+    from .calibration import PatternFamily, _expected_counts, calibrate
     from .patterns import Pattern, Requirements
 
     base = Pattern.parse(args.base)
@@ -271,7 +271,7 @@ def _cmd_calibrate(args) -> int:
         raise ValueError(f"bad --scales {args.scales!r}: {exc}") from exc
     family = PatternFamily(base, scales)
     requirements = Requirements.parse(args.k)
-    _check_calibration(family, [requirements], args.x, args.prime_limit)  # before the table is built
+    _expected_counts(family, [requirements], args.x, args.prime_limit)  # before the table is built
     table, cache = _require_table(args, args.x, family.members)
     report = calibrate(
         table, family, requirements, args.x,
@@ -313,14 +313,15 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    from .calibration import TABLE_FAMILIES, _check_calibration, family_presets, reproduce_tables
+    from .calibration import CORRECTION_TABLES, _expected_counts, family_presets, reproduce_tables
 
     presets = family_presets()
-    for name in TABLE_FAMILIES:
-        _check_calibration(presets[name], [], args.x, args.prime_limit)  # before the table is built
+    members = []
+    for name, vectors in CORRECTION_TABLES:
+        _expected_counts(presets[name], vectors, args.x, args.prime_limit)  # before the table is built
+        members += presets[name].members
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    members = [member for name in TABLE_FAMILIES for member in presets[name].members]
     table, cache = _require_table(args, args.x, members)
     report = reproduce_tables(table, args.x, prime_limit=args.prime_limit, workers=args.workers)
 

@@ -1,10 +1,14 @@
-"""Tuple patterns, residue coverage, and admissibility.
+"""Tuple patterns, residue counts, and admissibility.
 
 A pattern is a set of offsets {h1, ..., hm} with h1 = 0 defining the tuple
 (n + h1, ..., n + hm). The pattern is admissible when for every prime p the
 offsets leave at least one residue class mod p uncovered, i.e. the count of
 distinct residues nu_p stays below p. Coverage forces nu_p = p <= m, so only
 primes p <= m need checking.
+
+_residue_counts is the one place nu_p is computed: is_admissible reads it
+for the primes p <= m, and the singular series in selberg for the primes
+up to its largest offset.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd, prod
 
-from ._primes import distinct_prime_factors, is_prime, primes_up_to
+import numpy as np
+
+from ._primes import distinct_prime_factors, primes_up_to
 
 _INT64_MAX = 2**63 - 1
 
@@ -108,12 +114,29 @@ class AdmissibilityVerdict:
     nu_values: dict[int, int] = field(default_factory=dict)
 
 
-def residues_mod_p(pattern: Pattern, p: int) -> tuple[set[int], int]:
-    """The residue set {-h mod p} of a pattern and its size nu_p."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    residues = {(-h) % p for h in pattern.offsets}
-    return residues, len(residues)
+def _int_array(values: tuple[int, ...]) -> np.ndarray:
+    """int64 where the values fit, Python integers (object dtype) where they do not.
+
+    The test compares Python integers: numpy's max of a tuple holding 2^63
+    is a float64, and as floats 2^63 and 2^63 - 1 are equal.
+    """
+    fits = max(values) <= _INT64_MAX
+    return np.asarray(values, dtype=np.int64 if fits else object)
+
+
+def _residue_counts(pattern: Pattern, primes: np.ndarray) -> np.ndarray:
+    """nu_p for each prime: the distinct residues of the offsets mod p.
+
+    One (primes x m) residue array per chunk of primes, sorted along each
+    row, so nu_p is one plus the number of steps between neighbours.
+    """
+    offsets = _int_array(pattern.offsets)
+    nu = np.empty(len(primes), dtype=np.int64)
+    chunk = max(1, (1 << 20) // len(offsets))
+    for lo in range(0, len(primes), chunk):
+        residues = np.sort(offsets % primes[lo : lo + chunk, None], axis=1)
+        nu[lo : lo + chunk] = 1 + np.count_nonzero(np.diff(residues, axis=1), axis=1)
+    return nu
 
 
 def is_admissible(pattern: Pattern) -> AdmissibilityVerdict:
@@ -125,15 +148,11 @@ def is_admissible(pattern: Pattern) -> AdmissibilityVerdict:
     covered at once (e.g. both 3 and 5 for {0,2,4,6,8}); the largest one
     is reported as the witness, and nu_values carries them all.
     """
-    m = len(pattern)
-    nu_values: dict[int, int] = {}
-    witness = None
-    for p in primes_up_to(m):
-        p = int(p)
-        _, nu = residues_mod_p(pattern, p)
-        nu_values[p] = nu
-        if nu == p:
-            witness = p
+    primes = primes_up_to(len(pattern))
+    nu = _residue_counts(pattern, primes)
+    covered = primes[nu == primes]
+    witness = int(covered[-1]) if len(covered) else None
+    nu_values = dict(zip(primes.tolist(), nu.tolist()))
     return AdmissibilityVerdict(admissible=witness is None, witness=witness, nu_values=nu_values)
 
 

@@ -4,7 +4,8 @@ The constant attached to a pattern H of length m is the Euler product
 
     S(H) = prod_p (1 - nu_p / p) * (1 - 1/p)^(-m),
 
-where nu_p counts the distinct residues of the offsets mod p. For primes
+where nu_p counts the distinct residues of the offsets mod p, read from
+patterns._residue_counts, the routine admissibility reads too. For primes
 beyond the largest offset every factor has nu_p = m and deviates from 1 by
 O(m^2 / p^2), so the product is truncated at a prime bound with an explicit
 tail estimate. For pairs {0, N} with N even the product collapses to the
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._primes import primes_up_to, distinct_prime_factors
-from .patterns import Pattern, primorial
+from .patterns import Pattern, _int_array, _residue_counts, primorial
 
 # Twin-prime constant prod_{p>2} (1 - 1/(p-1)^2), 17 digits.
 TWIN_PRIME_C2 = 0.66016181584686957
@@ -46,12 +47,6 @@ class SelbergResult:
     admissible: bool
 
 
-def _int_array(values) -> np.ndarray:
-    """int64 where the values fit, Python integers (object dtype) where they do not."""
-    fits = np.max(values) <= np.iinfo(np.int64).max
-    return np.asarray(values, dtype=np.int64 if fits else object)
-
-
 def _omitted_divisor_excess(pattern: Pattern, primes: np.ndarray, prime_bound: int) -> float:
     """Bound on sum_{p > P} (m - nu_p) / (p - m) over primes dividing a distance.
 
@@ -71,7 +66,7 @@ def _omitted_divisor_excess(pattern: Pattern, primes: np.ndarray, prime_bound: i
     for i, hi in enumerate(pattern.offsets):
         for hj in pattern.offsets[i + 1 :]:
             r = hj - hi
-            for p in primes[_int_array(r) % primes == 0].tolist():
+            for p in primes[_int_array((r,)) % primes == 0].tolist():
                 while r % p == 0:
                     r //= p
             if r == 1:
@@ -99,21 +94,6 @@ def _tail_bound(value: float, pattern: Pattern, primes: np.ndarray, prime_bound:
     log_rel = m * m / (prime_bound * math.log(prime_bound))
     log_rel += _omitted_divisor_excess(pattern, primes, prime_bound)
     return abs(value) * math.expm1(log_rel)
-
-
-def _residue_counts(pattern: Pattern, primes: np.ndarray) -> np.ndarray:
-    """nu_p for each prime: the distinct residues of the offsets mod p.
-
-    One (primes x m) residue array per chunk of primes, sorted along each
-    row, so nu_p is one plus the number of steps between neighbours.
-    """
-    offsets = _int_array(pattern.offsets)
-    nu = np.empty(len(primes), dtype=np.int64)
-    chunk = max(1, (1 << 20) // len(offsets))
-    for lo in range(0, len(primes), chunk):
-        residues = np.sort(offsets % primes[lo : lo + chunk, None], axis=1)
-        nu[lo : lo + chunk] = 1 + np.count_nonzero(np.diff(residues, axis=1), axis=1)
-    return nu
 
 
 def _check_prime_limit(prime_limit: int, m: int = 0) -> None:

@@ -389,6 +389,14 @@ def test_calibrate_rejects_repeated_scales(capsys, tmp_path):
     # once the bare message of int(), naming neither the flag nor its text
     (["calibrate", "--base", "0,2", "--scales", "1,x", "--k", "1,1", "--x", "1e4"],
      "bad --scales '1,x': invalid literal for int() with base 10: 'x'"),
+    # each of these once built the cache before it failed
+    (["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,21", "--x", "1000"],
+     "factor-count demand 21 beyond supported range 20"),
+    (["calibrate", "--base", "0,2", "--scales", "2", "--k", "1,1", "--x", "1e4"],
+     "need at least two family members"),
+    (["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "5,5", "--x", "1000"],
+     "theoretical count 9.3 below 50"),
+    (["tables", "--x", "1000", "--out", "out"], "theoretical count 16.8 below 50"),
 ])
 def test_calibrate_and_tables_reject_arguments_before_the_cache(capsys, tmp_path, monkeypatch,
                                                                 argv, message):
@@ -396,5 +404,6 @@ def test_calibrate_and_tables_reject_arguments_before_the_cache(capsys, tmp_path
     code, out, err = run_cli(capsys, *argv, "--cache", "cache")
     assert code == 1 and out == ""
     doc = json.loads(err)
-    assert doc["error"] == "ValueError" and message in doc["message"]
+    error = "UnreliableSampleError" if message.startswith("theoretical count") else "ValueError"
+    assert doc["error"] == error and message in doc["message"]
     assert not (tmp_path / "cache").exists()

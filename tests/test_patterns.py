@@ -1,15 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
 from aptuple._primes import primes_up_to
 from aptuple.patterns import (
     Pattern,
     Requirements,
+    _residue_counts,
     distance_gcd_prime_support,
     is_admissible,
     primorial,
-    residues_mod_p,
     scale_pattern,
 )
 
@@ -48,12 +49,40 @@ def test_requirements():
         Requirements(())
 
 
+def _nu(pattern, primes):
+    return _residue_counts(pattern, np.asarray(primes, dtype=np.int64)).tolist()
+
+
 def test_residues_examples():
-    assert residues_mod_p(Pattern((0, 2, 6)), 3) == ({0, 1}, 2)
-    assert residues_mod_p(Pattern((0, 2, 4, 6, 8)), 5) == ({0, 1, 2, 3, 4}, 5)
-    assert residues_mod_p(Pattern((0,)), 7) == ({0}, 1)
-    with pytest.raises(ValueError):
-        residues_mod_p(Pattern((0, 2)), 4)
+    assert _nu(Pattern((0, 2, 6)), [2, 3, 5, 7]) == [1, 2, 3, 3]
+    assert _nu(Pattern((0, 2, 4, 6, 8)), [2, 3, 5, 7, 11]) == [1, 3, 5, 5, 5]
+    assert _nu(Pattern((0,)), [7]) == [1]
+    assert _nu(Pattern((0, 2)), []) == []
+
+
+def _brute_nu(pattern, primes):
+    return [len({h % p for h in pattern.offsets}) for p in primes]
+
+
+@pytest.mark.parametrize("width", [60, 2000, 2**63 - 1, 2**63, 2**70])
+def test_residue_counts_match_brute_force(width):
+    # primes up to 3000 reach past every offset of the narrow patterns; offsets
+    # of 2^63 and more are Python integers, the rest fit in int64
+    primes = primes_up_to(3000).tolist()
+    rng = random.Random(width)
+    for _ in range(100):
+        m = rng.randrange(2, 12)
+        offsets = {0, width} | {rng.randrange(width) for _ in range(m - 2)}
+        pattern = Pattern(tuple(offsets))
+        chosen = sorted(rng.sample(primes, 40))
+        assert _nu(pattern, chosen) == _brute_nu(pattern, chosen), pattern
+
+
+def test_residue_counts_across_chunks():
+    # 16 offsets make chunks of 2^16 primes, so the 78498 primes below 1e6 take two
+    pattern = Pattern(tuple(random.Random(5).sample(range(0, 10**7, 2), 16)))
+    primes = primes_up_to(10**6)
+    assert _nu(pattern, primes) == _brute_nu(pattern, primes.tolist())
 
 
 def test_admissibility_examples():
@@ -94,8 +123,9 @@ def test_admissibility_matches_brute_force():
         verdict = is_admissible(pattern)
         covering = _covering_primes(pattern)
         assert verdict.admissible == (not covering), pattern
-        if covering:
-            assert verdict.witness in covering
+        assert verdict.witness == max(covering, default=None), pattern
+        small = primes_up_to(len(pattern)).tolist()
+        assert verdict.nu_values == dict(zip(small, _brute_nu(pattern, small))), pattern
 
 
 def test_nu_bounded_by_length():
@@ -104,9 +134,8 @@ def test_nu_bounded_by_length():
     for _ in range(200):
         pattern = _random_pattern(rng)
         m = len(pattern)
-        for p in small_primes:
-            _, nu = residues_mod_p(pattern, p)
-            assert nu <= min(m, p)
+        for p, nu in zip(small_primes, _nu(pattern, small_primes)):
+            assert 1 <= nu <= min(m, p)
             if p > m:
                 assert nu <= m < p
 

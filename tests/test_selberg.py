@@ -207,6 +207,14 @@ def test_offsets_beyond_64_bits():
     assert abs(result.value - pair_constant_closed_form(n)) <= result.tail_bound
 
 
+def test_offsets_just_past_int64():
+    # numpy takes the max of (0, 2^63) as a float64 that compares equal to 2^63 - 1
+    pattern = Pattern((0, 2**63))
+    result = selberg_constant(pattern, PRIME_LIMIT)
+    assert abs(result.value - pair_constant_closed_form(2**63)) <= result.tail_bound
+    assert result.admissible
+
+
 def _full_array_value(pattern, prime_limit):
     """S(H) with nu_p worked out for every prime, the product taken in one array."""
     primes = primes_up_to(prime_limit)

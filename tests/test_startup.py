@@ -26,7 +26,7 @@ EXPORTED = (
     "CensusQuery", "CensusResult", "count_patterns", "count_tuples",
     "k_histogram",
     "AdmissibilityVerdict", "Pattern", "Requirements", "distance_gcd_prime_support",
-    "is_admissible", "primorial", "residues_mod_p", "scale_pattern",
+    "is_admissible", "primorial", "scale_pattern",
     "TWIN_PRIME_C2", "SelbergResult", "pair_constant_closed_form", "primorial_pattern_table",
     "selberg_constant", "triple_constant_closed_form",
     "OmegaTable", "build_omega_table", "load_table", "save_table", "write_omega_table",
