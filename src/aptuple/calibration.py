@@ -8,6 +8,10 @@ mean is the estimate, and the spread across members gauges the noise.
 A second, single-pattern estimator divides the census for K by the census
 for all-ones requirements and the loglog normalization, cancelling the
 common structure factor instead of computing it.
+
+reproduce_tables returns the paper's tables as data, each a (header, rows)
+pair: Table 1 from the primorial pair constants, then one table for each
+CORRECTION_TABLES entry, so another table is another entry there.
 """
 
 from __future__ import annotations
@@ -42,10 +46,6 @@ MIN_THEORETICAL_COUNT = 50.0  # below this Poisson noise swamps sub-percent rati
 
 class UnreliableSampleError(ValueError):
     """Counts too small for the ratio statistics to mean anything."""
-
-
-class InsufficientDataError(ValueError):
-    """A ratio estimate hit a zero denominator census."""
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def _ratio_estimates(
         parity=parity, mode=mode, workers=workers,
     )[0]
     if baseline == 0:
-        raise InsufficientDataError(
+        raise UnreliableSampleError(
             f"no all-ones tuples for {pattern} at x={x}; ratio undefined"
         )
     return [
@@ -318,55 +318,35 @@ CORRECTION_TABLES = (
 )
 
 
-@dataclass(frozen=True)
-class Table1Row:
-    n: int
-    truncated: float
-    closed_form: float
-
-
-@dataclass(frozen=True)
-class CorrectionRow:
-    requirements: Requirements
-    correction: float
-    error_percent: float
-
-
-@dataclass(frozen=True)
-class TablesReport:
-    pair_constants: tuple[Table1Row, ...]
-    pair_corrections: tuple[CorrectionRow, ...]
-    triple_corrections: tuple[CorrectionRow, ...]
-
-
 def reproduce_tables(
     table: OmegaTable,
     x: int = 10**7,
     prime_limit: int = 10**6,
     workers: int = 1,
-) -> TablesReport:
-    """Recompute the three summary tables at the given bound.
+) -> list[tuple[list[str], list[list]]]:
+    """Recompute the paper's three tables at the given bound, as (header, rows) in order.
 
-    Pair constants come via both evaluation routes; pair corrections use
-    the reduced family (separations 4, 8, 16), triple corrections the full
+    Table 1 gives each primorial pair constant by both evaluation routes.
+    Each CORRECTION_TABLES entry gives one more table, with a row of
+    demands, family mean and relative spread per vector: Table 2 from the
+    reduced pair family (separations 4, 8, 16), Table 3 from the full
     {0,2,6} family including the base.
     """
-    rows1 = [
-        Table1Row(n, value, pair_constant_closed_form(n))
-        for n, value in primorial_pattern_table(TABLE1_PRIMORIAL_COUNT, prime_limit)
-    ]
+    tables = [(
+        ["n", "selberg_constant", "closed_form"],
+        [
+            [n, value, pair_constant_closed_form(n)]
+            for n, value in primorial_pattern_table(TABLE1_PRIMORIAL_COUNT, prime_limit)
+        ],
+    )]
     presets = family_presets()
-    pair_corrections, triple_corrections = (
-        tuple(
-            CorrectionRow(report.requirements, report.mean, report.rel_error_percent)
-            for report in calibrate_all(
-                table, presets[name], vectors, x, prime_limit=prime_limit, workers=workers
-            )
+    for name, vectors in CORRECTION_TABLES:
+        reports = calibrate_all(
+            table, presets[name], vectors, x, prime_limit=prime_limit, workers=workers
         )
-        for name, vectors in CORRECTION_TABLES
-    )
-    return TablesReport(
-        pair_constants=tuple(rows1),
-        pair_corrections=pair_corrections,
-        triple_corrections=triple_corrections,
-    )
+        demands = [f"k{i}" for i in range(1, len(vectors[0]) + 1)]
+        tables.append((
+            demands + ["correction_factor", "error_percent"],
+            [[*r.requirements.demands, r.mean, r.rel_error_percent] for r in reports],
+        ))
+    return tables

@@ -107,9 +107,8 @@ def _next_power_of_two(n: int) -> int:
 
 
 def _cache_file(cache_dir: str | Path | None) -> Path:
-    """The table file in cache_dir (None: default_cache_dir()), its directory made."""
+    """The table file in cache_dir (None: default_cache_dir())."""
     directory = default_cache_dir() if cache_dir is None else Path(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
     return directory / CACHE_FILENAME
 
 
@@ -320,29 +319,15 @@ def _cmd_tables(args) -> int:
     for name, vectors in CORRECTION_TABLES:
         _expected_counts(presets[name], vectors, args.x, args.prime_limit)  # before the table is built
         members += presets[name].members
+    table, cache = _require_table(args, args.x, members)
+    tables = reproduce_tables(table, args.x, prime_limit=args.prime_limit, workers=args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    table, cache = _require_table(args, args.x, members)
-    report = reproduce_tables(table, args.x, prime_limit=args.prime_limit, workers=args.workers)
-
-    tables = {
-        "table1.csv": (
-            ["n", "selberg_constant", "closed_form"],
-            [[r.n, r.truncated, r.closed_form] for r in report.pair_constants],
-        ),
-        "table2.csv": (
-            ["k1", "k2", "correction_factor", "error_percent"],
-            [[*r.requirements.demands, r.correction, r.error_percent] for r in report.pair_corrections],
-        ),
-        "table3.csv": (
-            ["k1", "k2", "k3", "correction_factor", "error_percent"],
-            [[*r.requirements.demands, r.correction, r.error_percent] for r in report.triple_corrections],
-        ),
-    }
-    for name, (header, rows) in tables.items():
-        with open(out_dir / name, "w", newline="") as fh:
+    files = [out_dir / f"table{i}.csv" for i in range(1, len(tables) + 1)]
+    for path, (header, rows) in zip(files, tables):
+        with open(path, "w", newline="") as fh:
             _write_csv(fh, header, rows)
-    _emit_json({"x": args.x, "out": str(out_dir), "files": [str(out_dir / name) for name in tables],
+    _emit_json({"x": args.x, "out": str(out_dir), "files": [str(path) for path in files],
                 "cache": cache})
     return 0
 

@@ -295,7 +295,9 @@ def _check_build(limit: int, segment_size: int, workers: int) -> None:
     if limit < 2:
         raise ValueError(f"need limit >= 2, got {limit}")
     if limit >= LIMIT_BOUND:
-        raise ValueError(f"need limit < 2**34 for the log accumulator, got {limit}")
+        raise ValueError(
+            f"need limit < 2**{LIMIT_BOUND.bit_length() - 1} for the log accumulator, got {limit}"
+        )
     if segment_size < 2:
         raise ValueError(f"need segment_size >= 2, got {segment_size}")
     if workers < 1:
@@ -494,7 +496,8 @@ def write_omega_table(
     writes, but the table is never held: each finished segment is appended
     to a temporary file, and the halves its even entries need are read back
     from the bytes already written, so memory stays O(segment) at any
-    limit. The arguments mean what they mean for build_omega_table.
+    limit. The arguments mean what they mean for build_omega_table; once
+    they are checked, the directory of path is made if it is missing.
     Returns the seconds the final rename took.
 
     Raises
@@ -507,6 +510,7 @@ def write_omega_table(
         No temporary file is left behind, and path is left as it was.
     """
     _check_build(limit, segment_size, workers)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
 
     def write(fd: int) -> None:
         _write_all(fd, _header(limit))

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from aptuple.calibration import (
-    InsufficientDataError,
     PatternFamily,
     UnreliableSampleError,
     calibrate,
@@ -188,7 +187,7 @@ def test_ratio_estimator_insufficient_data():
     values[0] = values[1] = 0
     values.flags.writeable = False
     barren = OmegaTable(limit=4000, values=values)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(UnreliableSampleError):
         estimate_correction_via_ratio(
             barren, Pattern((0, 2)), Requirements((1, 2)), 3000
         )
@@ -206,15 +205,20 @@ def test_symmetry_report(table_big):
 
 
 def test_reproduce_tables_small_scale(table_small):
-    report = reproduce_tables(table_small, 10_000)
-    ns = [row.n for row in report.pair_constants]
+    (header1, rows1), (header2, rows2), (header3, rows3) = reproduce_tables(table_small, 10_000)
+    assert header1 == ["n", "selberg_constant", "closed_form"]
+    assert header2 == ["k1", "k2", "correction_factor", "error_percent"]
+    assert header3 == ["k1", "k2", "k3", "correction_factor", "error_percent"]
+    ns = [n for n, _, _ in rows1]
     assert ns == [2, 6, 30, 210, 2310]
-    values = [row.truncated for row in report.pair_constants]
+    values = [value for _, value, _ in rows1]
     assert all(b > a for a, b in zip(values, values[1:]))
-    for row in report.pair_constants:
-        assert abs(row.truncated - row.closed_form) < 1e-5
-    assert len(report.pair_corrections) == 5
-    assert len(report.triple_corrections) == 6
-    for row in report.pair_corrections + report.triple_corrections:
-        assert row.correction > 0
-        assert row.error_percent >= 0
+    for _, value, closed_form in rows1:
+        assert abs(value - closed_form) < 1e-5
+    assert len(rows2) == 5
+    assert len(rows3) == 6
+    for header, rows in ((header2, rows2), (header3, rows3)):
+        for *demands, correction, error_percent in rows:
+            assert len(demands) == len(header) - 2
+            assert correction > 0
+            assert error_percent >= 0

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from types import SimpleNamespace
@@ -199,10 +200,37 @@ def test_tables_command(capsys, tmp_path):
     assert rows[0] == ["n", "selberg_constant", "closed_form"]
     assert [r[0] for r in rows[1:]] == ["2", "6", "30", "210", "2310"]
     assert abs(float(rows[1][2]) - 1.3203236) < 1e-6
+    with open(out_dir / "table2.csv") as fh:
+        rows2 = list(csv.reader(fh))
+    assert rows2 == [
+        ["k1", "k2", "correction_factor", "error_percent"],
+        ["1", "2", "1.233682", "1.994895"],
+        ["1", "3", "0.9557373", "2.046969"],
+        ["2", "2", "0.9852783", "3.082323"],
+        ["2", "3", "0.5858019", "3.130361"],
+        ["3", "3", "0.2594298", "3.059329"],
+    ]
     with open(out_dir / "table3.csv") as fh:
         rows3 = list(csv.reader(fh))
     assert rows3[0] == ["k1", "k2", "k3", "correction_factor", "error_percent"]
     assert len(rows3) == 7
+
+
+# sha256 of table1.csv..table3.csv at x = 1e7, as the CLI writes them
+TABLE_DIGESTS = [
+    "06ad0e6946296cc8a74b280a8d0fa08b061ffe96733751b9e490dc3b21959434",
+    "12fd4ba8c083c79cb0e7ae9cedc51f796db1f073a055a88806e0f964c557f037",
+    "5141c6161abcba4335a2440af5b0f5cf70cb54547ffbbb1aa0e4083d293d88b7",
+]
+
+
+def test_tables_csv_bytes_at_1e7(table_big):
+    digests = []
+    for header, rows in ap.reproduce_tables(table_big, 10**7):
+        fh = io.StringIO()
+        cli._write_csv(fh, header, rows)
+        digests.append(hashlib.sha256(fh.getvalue().encode()).hexdigest())
+    assert digests == TABLE_DIGESTS
 
 
 def test_runtime_error_exit_code(capsys, tmp_path):
@@ -302,6 +330,26 @@ def test_rebuild_past_the_bound_fails_before_writing(tmp_path):
     with pytest.raises(ValueError, match="2\\*\\*34"):
         cli.ensure_table(LIMIT_BOUND, tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--pattern", "0,2", "--k", "1,1"],
+    ["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1"],
+    ["tables", "--out", "out"],
+])
+def test_past_the_bound_leaves_no_directory(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--x", "1e11", "--cache", "cache")
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "2**34" in doc["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sieve_out_makes_its_directory(capsys, tmp_path):
+    path = tmp_path / "new" / "dir" / "t.bin"
+    code, _, _ = run_cli(capsys, "sieve", "--limit", "1000", "--out", str(path))
+    assert code == 0 and load_table(path).limit == 1000
 
 
 def test_sieve_on_a_full_disk_exits_1_and_leaves_nothing(capsys, tmp_path, monkeypatch):
