@@ -13,16 +13,12 @@ touches.
 import importlib
 
 _EXPORTS = {
-    "asymptotics": (
-        "almost_prime_count_asymptotic",
-        "predicted_tuple_count",
-    ),
+    "asymptotics": ("predicted_tuple_count",),
     "calibration": (
         "CalibrationReport",
         "PatternFamily",
         "calibrate",
         "calibrate_all",
-        "estimate_correction_via_ratio",
         "family_presets",
         "reproduce_tables",
         "symmetry_report",

@@ -1,12 +1,12 @@
-"""Theoretical count formulas for almost primes and tuple predictions.
+"""Theoretical count formula for almost-prime tuples.
 
-Single-number counts follow the leading term
+The tuple prediction multiplies a singular-series value by x / (log x)^m and
+one factorial-normalized loglog power per position. One position with S = 1
+gives the leading count of k-almost primes up to x,
 
     x / log x * (log log x)^(k-1) / (k-1)!,
 
-the same whether factors are counted distinct or with multiplicity. The
-tuple prediction multiplies a singular-series value by x / (log x)^m and
-one factorial-normalized loglog power per position.
+the same whether factors are counted distinct or with multiplicity.
 """
 
 from __future__ import annotations
@@ -59,7 +59,3 @@ def predicted_tuple_count(
     base = x / math.log(x) ** m
     return correction * series * base * loglog_power_product(requirements, x)
 
-
-def almost_prime_count_asymptotic(x: float, k: int) -> float:
-    """Leading-order count of k-almost primes up to x: one position, so S = 1."""
-    return predicted_tuple_count(1.0, Requirements((k,)), x)

@@ -5,9 +5,8 @@ leaves the singular-series value unchanged, so all members of such a
 family share one theoretical count. The per-member ratio of censused to
 theoretical counts then isolates the correction factor C(K): its family
 mean is the estimate, and the spread across members gauges the noise.
-A second, single-pattern estimator divides the census for K by the census
-for all-ones requirements and the loglog normalization, cancelling the
-common structure factor instead of computing it.
+symmetry_report checks the other invariance, under reorderings of K, on
+the raw counts of one pattern.
 
 reproduce_tables returns the paper's tables as data, each a (header, rows)
 pair: Table 1 from the primorial pair constants, then one table for each
@@ -22,7 +21,7 @@ from itertools import permutations
 from typing import Sequence
 
 from ._primes import distinct_prime_factors
-from .asymptotics import _check_x, loglog_power_product, predicted_tuple_count
+from .asymptotics import _check_x, predicted_tuple_count
 from .census import count_patterns
 from .patterns import (
     Pattern,
@@ -219,65 +218,15 @@ def calibrate(
     )[0]
 
 
-def _ratio_estimates(
-    table: OmegaTable,
-    pattern: Pattern,
-    requirement_list: Sequence[Requirements],
-    x: int,
-    parity: str,
-    mode: str,
-    workers: int,
-) -> list[float]:
-    """The ratio estimator for each vector, from one scan that adds all-ones."""
-    verdict = is_admissible(pattern)
-    if not verdict.admissible:
-        raise ValueError(
-            f"pattern {pattern} is inadmissible (witness prime {verdict.witness})"
-        )
-    ones = Requirements((1,) * len(pattern))
-    *numerators, baseline = count_patterns(
-        table, [pattern], [*requirement_list, ones], x,
-        parity=parity, mode=mode, workers=workers,
-    )[0]
-    if baseline == 0:
-        raise UnreliableSampleError(
-            f"no all-ones tuples for {pattern} at x={x}; ratio undefined"
-        )
-    return [
-        numerator / (baseline * loglog_power_product(requirements, x))
-        for numerator, requirements in zip(numerators, requirement_list)
-    ]
-
-
-def estimate_correction_via_ratio(
-    table: OmegaTable,
-    pattern: Pattern,
-    requirements: Requirements,
-    x: int,
-    parity: str = "odd",
-    mode: str = "exact",
-    workers: int = 1,
-) -> float:
-    """Single-pattern estimator: census(K) / (census(1,..,1) * loglog product).
-
-    Dividing by the all-ones census cancels the structure factor and the
-    leading 1/log^m term, so no series evaluation enters. Noisier than the
-    family calibrate, and systematically offset from it at finite x by the
-    all-ones ratio itself (which approaches 1 only as x grows).
-    """
-    return _ratio_estimates(
-        table, pattern, [requirements], x, parity=parity, mode=mode, workers=workers
-    )[0]
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
-    """Correction estimates across all distinct orderings of the demands."""
+    """Exact counts of a pattern across all distinct orderings of the demands."""
 
     pattern: Pattern
     x: int
-    estimates: tuple[tuple[Requirements, float], ...]
+    counts: tuple[tuple[Requirements, int], ...]
     max_spread: float
+    chi2_per_dof: float
 
 
 def symmetry_report(
@@ -286,26 +235,27 @@ def symmetry_report(
     requirements: Requirements,
     x: int,
     parity: str = "odd",
-    mode: str = "exact",
     workers: int = 1,
 ) -> SymmetryReport:
-    """Estimate the correction for every distinct permutation of the demands.
+    """Count the pattern for every distinct permutation of the demands, in one scan.
 
-    The correction is conjectured to depend only on the multiset, so the
-    relative spread across orderings measures finite-x noise. All
-    orderings come from one scan of the pattern.
+    Every ordering shares one theoretical count, so if the correction
+    depends only on the multiset the counts differ by counting noise
+    alone. max_spread is (max - min) / mean of the counts; chi2_per_dof
+    is sum (N - mean)^2 / mean / (orderings - 1), near 1 for Poisson
+    noise, since exact-mode orderings count disjoint sets of n. Both read
+    0.0 for a single ordering.
     """
     orderings = [Requirements(o) for o in sorted(set(permutations(requirements.demands)))]
-    values = _ratio_estimates(
-        table, pattern, orderings, x, parity=parity, mode=mode, workers=workers
-    )
-    if len(values) > 1:
-        spread = (max(values) - min(values)) / (math.fsum(values) / len(values))
-    else:
-        spread = 0.0
-    return SymmetryReport(
-        pattern=pattern, x=x, estimates=tuple(zip(orderings, values)), max_spread=spread
-    )
+    counts = count_patterns(table, [pattern], orderings, x, parity=parity, workers=workers)[0]
+    mean = math.fsum(counts) / len(counts)
+    if mean == 0:
+        raise UnreliableSampleError(f"no tuples of {pattern} in any ordering at x={x}")
+    spread = chi2 = 0.0
+    if len(counts) > 1:
+        spread = (max(counts) - min(counts)) / mean
+        chi2 = math.fsum((n - mean) ** 2 for n in counts) / mean / (len(counts) - 1)
+    return SymmetryReport(pattern, x, tuple(zip(orderings, counts)), spread, chi2)
 
 
 TABLE1_PRIMORIAL_COUNT = 5

@@ -3,22 +3,23 @@ from itertools import permutations
 
 import pytest
 
-from aptuple.asymptotics import (
-    almost_prime_count_asymptotic,
-    loglog_power_product,
-    predicted_tuple_count,
-)
+from aptuple.asymptotics import loglog_power_product, predicted_tuple_count
 from aptuple.patterns import Requirements
 
 X7 = 1e7
 LOGLOG_X7 = math.log(math.log(X7))
 
 
+def almost_primes(x, k):
+    """Leading count of k-almost primes up to x: one position, so S = 1."""
+    return predicted_tuple_count(1.0, Requirements((k,)), x)
+
+
 def test_leading_order_examples():
-    k1 = almost_prime_count_asymptotic(X7, 1)
+    k1 = almost_primes(X7, 1)
     assert abs(k1 - X7 / math.log(X7)) < 1e-6
     assert abs(k1 - 620420.7) < 1.0
-    k2 = almost_prime_count_asymptotic(X7, 2)
+    k2 = almost_primes(X7, 2)
     assert abs(k2 - k1 * LOGLOG_X7) < 1e-6
     assert abs(LOGLOG_X7 - 2.780) < 1e-3
 
@@ -62,11 +63,11 @@ def test_intermediate_constants():
 
 def test_domain_errors():
     with pytest.raises(ValueError):
-        almost_prime_count_asymptotic(50, 1)
+        almost_primes(50, 1)
     with pytest.raises(ValueError):
-        almost_prime_count_asymptotic(X7, 0)
+        almost_primes(X7, 0)
     with pytest.raises(ValueError):
-        almost_prime_count_asymptotic(X7, 21)
+        almost_primes(X7, 21)
     for correction in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             predicted_tuple_count(1.0, Requirements((1, 2)), X7, correction=correction)

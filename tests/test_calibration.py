@@ -6,11 +6,11 @@ from aptuple.calibration import (
     UnreliableSampleError,
     calibrate,
     calibrate_all,
-    estimate_correction_via_ratio,
     family_presets,
     reproduce_tables,
     symmetry_report,
 )
+from aptuple.census import count_patterns
 from aptuple.patterns import Pattern, Requirements
 from aptuple.selberg import selberg_constant
 from aptuple.sieve import OmegaTable
@@ -54,9 +54,7 @@ def test_estimators_reject_workers_below_one(table_small):
     with pytest.raises(ValueError, match="workers"):
         calibrate(table_small, family, Requirements((1, 1)), 10**4, workers=0)
     with pytest.raises(ValueError, match="workers"):
-        estimate_correction_via_ratio(
-            table_small, Pattern((0, 2)), Requirements((1, 1)), 10**4, workers=-3
-        )
+        symmetry_report(table_small, Pattern((0, 2)), Requirements((1, 2)), 10**4, workers=-3)
 
 
 def test_family_rejects_inadmissible_base():
@@ -155,53 +153,56 @@ def test_single_member_family_rejected(table_small):
         calibrate(table_small, family, Requirements((1, 1)), 10_000)
 
 
-def test_ratio_estimator_identity(table_small):
-    # numerator and denominator censuses coincide for all-ones demands
-    value = estimate_correction_via_ratio(
-        table_small, Pattern((0, 2)), Requirements((1, 1)), 10_000
-    )
-    assert value == 1.0
-
-
-def test_ratio_estimator_values(table_big):
-    est_pair = estimate_correction_via_ratio(
-        table_big, Pattern((0, 2)), Requirements((1, 2)), X7
-    )
-    assert abs(est_pair - 1.01639) < 1e-4
-    est_triple = estimate_correction_via_ratio(
-        table_big, Pattern((0, 2, 6)), Requirements((1, 1, 2)), X7
-    )
-    assert abs(est_triple - 0.86235) < 1e-4
-
-
-def test_ratio_estimator_rejects_inadmissible(table_small):
-    with pytest.raises(ValueError):
-        estimate_correction_via_ratio(
-            table_small, Pattern((0, 2, 4)), Requirements((1, 1, 1)), 10_000
-        )
-
-
-def test_ratio_estimator_insufficient_data():
-    # a table with no primes at all gives a zero all-ones census
+def test_symmetry_report_insufficient_data():
+    # a table with no primes at all has no tuple in any ordering to divide by
     values = np.full(4001, 4, dtype=np.uint8)
     values[0] = values[1] = 0
     values.flags.writeable = False
     barren = OmegaTable(limit=4000, values=values)
     with pytest.raises(UnreliableSampleError):
-        estimate_correction_via_ratio(
-            barren, Pattern((0, 2)), Requirements((1, 2)), 3000
-        )
+        symmetry_report(barren, Pattern((0, 2)), Requirements((1, 2)), 3000)
 
 
 def test_symmetry_report(table_big):
     report = symmetry_report(table_big, Pattern((0, 4)), Requirements((1, 2)), X7)
-    assert len(report.estimates) == 2
+    assert report.counts == ((Requirements((1, 2)), 167037), (Requirements((2, 1)), 166831))
     assert report.max_spread < 0.03
     assert abs(report.max_spread - 0.001234) < 1e-4
+    # exact-mode orderings count disjoint sets of n: chi2/dof ~ 1 is noise
+    assert abs(report.chi2_per_dof - 0.1271) < 0.01
+    wide = symmetry_report(table_big, Pattern((0, 4)), Requirements((2, 3)), X7)
+    assert abs(wide.chi2_per_dof - 0.0067) < 0.01
+    assert max(report.chi2_per_dof, wide.chi2_per_dof) < 3
 
     flat = symmetry_report(table_big, Pattern((0, 4)), Requirements((2, 2)), X7)
-    assert len(flat.estimates) == 1
+    assert len(flat.counts) == 1
     assert flat.max_spread == 0.0
+    assert flat.chi2_per_dof == 0.0
+
+
+@pytest.mark.parametrize("demands, spread, chi2", [
+    ((1, 1, 2), 0.279498, 552.95),
+    ((1, 2, 3), 0.461029, 2912.63),
+])
+def test_symmetry_report_triples_differ_beyond_noise(table_big, demands, spread, chi2):
+    # pinned to 0.01 so a chi2 without the (orderings - 1) divisor fails
+    report = symmetry_report(table_big, Pattern((0, 2, 6)), Requirements(demands), X7)
+    assert abs(report.max_spread - spread) < 1e-6
+    assert abs(report.chi2_per_dof - chi2) < 0.01
+    assert report.chi2_per_dof > 100
+
+
+@pytest.mark.parametrize("parity", ["odd", "all"])
+def test_reflection_symmetry_of_raw_counts(table_big, parity):
+    # {0,2,6} at (k1,k2,k3) mirrors {0,4,6} at (k3,k2,k1): H -> 6 - H
+    vectors = [(1, 1, 1), (1, 1, 2), (1, 2, 2), (1, 2, 3), (2, 2, 3)]
+    demands = [Requirements(v) for v in vectors] + [Requirements(v[::-1]) for v in vectors]
+    forward, mirrored = count_patterns(
+        table_big, [Pattern((0, 2, 6)), Pattern((0, 4, 6))], demands, X7, parity=parity
+    )
+    for i, v in enumerate(vectors):
+        a, b = forward[i], mirrored[len(vectors) + i]
+        assert abs(a - b) / (a + b) ** 0.5 < 3, (v, a, b)
 
 
 def test_reproduce_tables_small_scale(table_small):

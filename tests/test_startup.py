@@ -20,9 +20,9 @@ SRC = Path(aptuple.__file__).resolve().parents[1]
 # Every name the package exported when its __init__ imported each module,
 # and the names added since, less the ones deleted since.
 EXPORTED = (
-    "almost_prime_count_asymptotic", "predicted_tuple_count",
+    "predicted_tuple_count",
     "CalibrationReport", "PatternFamily", "calibrate", "calibrate_all",
-    "estimate_correction_via_ratio", "family_presets", "reproduce_tables", "symmetry_report",
+    "family_presets", "reproduce_tables", "symmetry_report",
     "CensusQuery", "CensusResult", "count_patterns", "count_tuples",
     "k_histogram",
     "AdmissibilityVerdict", "Pattern", "Requirements", "distance_gcd_prime_support",
