@@ -36,14 +36,12 @@ _EXPORTS = {
         "Requirements",
         "distance_gcd_prime_support",
         "is_admissible",
-        "primorial",
         "scale_pattern",
     ),
     "selberg": (
         "TWIN_PRIME_C2",
         "SelbergResult",
         "pair_constant_closed_form",
-        "primorial_pattern_table",
         "selberg_constant",
         "triple_constant_closed_form",
     ),

@@ -1,16 +1,18 @@
 """Empirical calibration of the tuple-count correction factors.
 
 Scaling a pattern by factors whose primes already divide every distance
-leaves the singular-series value unchanged, so all members of such a
-family share one theoretical count. The per-member ratio of censused to
-theoretical counts then isolates the correction factor C(K): its family
-mean is the estimate, and the spread across members gauges the noise.
-symmetry_report checks the other invariance, under reorderings of K, on
-the raw counts of one pattern.
+keeps every residue count nu_p, and so the singular-series value.
+PatternFamily admits only such scales, so all members share the
+theoretical count of the base, whose series is evaluated once. The
+per-member ratio of censused to theoretical counts then isolates the
+correction factor C(K): its family mean is the estimate, and the spread
+across members gauges the noise. symmetry_report checks the other
+invariance, under reorderings of K, on the raw counts of one pattern.
 
 reproduce_tables returns the paper's tables as data, each a (header, rows)
-pair: Table 1 from the primorial pair constants, then one table for each
-CORRECTION_TABLES entry, so another table is another entry there.
+pair: Table 1 from the pair constants S({0, N}) at the primorials N up to
+2310, then one table for each CORRECTION_TABLES entry, so another table is
+another entry there.
 """
 
 from __future__ import annotations
@@ -34,12 +36,10 @@ from .patterns import (
 from .selberg import (
     _check_prime_limit,
     pair_constant_closed_form,
-    primorial_pattern_table,
     selberg_constant,
 )
 from .sieve import OmegaTable
 
-FAMILY_SERIES_TOLERANCE = 1e-9
 MIN_THEORETICAL_COUNT = 50.0  # below this Poisson noise swamps sub-percent ratios
 
 
@@ -122,6 +122,7 @@ def _expected_counts(
 ) -> list[float]:
     """The shared theoretical count of each vector: all of calibrate_all that needs no table.
 
+    The count comes from the base pattern's series, evaluated once.
     Raises ValueError for arguments calibrate_all cannot take, cheapest
     checks first, and UnreliableSampleError for a count too small to
     calibrate against. The CLI runs it before it builds or loads a table.
@@ -133,14 +134,7 @@ def _expected_counts(
     if len(family.scales) < 2:
         raise ValueError("need at least two family members for a spread estimate")
 
-    series_values = [selberg_constant(p, prime_limit).value for p in family.members]
-    if max(series_values) - min(series_values) > FAMILY_SERIES_TOLERANCE:
-        raise ValueError(
-            f"family members do not share a series value: spread "
-            f"{max(series_values) - min(series_values):.3e}"
-        )
-
-    # the base pattern's value, so member ordering cannot perturb the ratios
+    # PatternFamily admits only scales that keep every nu_p, so members share this value
     series = selberg_constant(family.base, prime_limit).value
     theoreticals = [predicted_tuple_count(series, req, x) for req in requirement_list]
     for theoretical in theoreticals:
@@ -165,7 +159,7 @@ def calibrate_all(
 
     One scan at x counts every member for all the vectors together; the
     shared theoretical count uses the base pattern's series value, which
-    the members are verified to share before any counting happens.
+    every member has by the construction of PatternFamily.
     """
     theoreticals = _expected_counts(family, requirement_list, x, prime_limit)
     members = family.members
@@ -258,7 +252,7 @@ def symmetry_report(
     return SymmetryReport(pattern, x, tuple(zip(orderings, counts)), spread, chi2)
 
 
-TABLE1_PRIMORIAL_COUNT = 5
+TABLE1_SEPARATIONS = (2, 6, 30, 210, 2310)  # the first five primorials
 # the preset behind each of Tables 2 and 3, and the vectors it calibrates
 CORRECTION_TABLES = (
     ("pair-reduced", tuple(map(Requirements, ((1, 2), (1, 3), (2, 2), (2, 3), (3, 3))))),
@@ -276,7 +270,8 @@ def reproduce_tables(
 ) -> list[tuple[list[str], list[list]]]:
     """Recompute the paper's three tables at the given bound, as (header, rows) in order.
 
-    Table 1 gives each primorial pair constant by both evaluation routes.
+    Table 1 gives S({0, N}) for each of TABLE1_SEPARATIONS by both
+    evaluation routes: the truncated series and the closed form.
     Each CORRECTION_TABLES entry gives one more table, with a row of
     demands, family mean and relative spread per vector: Table 2 from the
     reduced pair family (separations 4, 8, 16), Table 3 from the full
@@ -285,8 +280,8 @@ def reproduce_tables(
     tables = [(
         ["n", "selberg_constant", "closed_form"],
         [
-            [n, value, pair_constant_closed_form(n)]
-            for n, value in primorial_pattern_table(TABLE1_PRIMORIAL_COUNT, prime_limit)
+            [n, selberg_constant(Pattern((0, n)), prime_limit).value, pair_constant_closed_form(n)]
+            for n in TABLE1_SEPARATIONS
         ],
     )]
     presets = family_presets()

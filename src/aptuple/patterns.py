@@ -14,7 +14,7 @@ up to its largest offset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import gcd
 
 import numpy as np
 
@@ -178,17 +178,3 @@ def distance_gcd_prime_support(pattern: Pattern) -> set[int]:
         g = gcd(g, h)
     return set(distinct_prime_factors(g))
 
-
-def primorial(i: int) -> int:
-    """Product of the first i primes (2, 6, 30, 210, 2310, ...)."""
-    if i < 1:
-        raise ValueError(f"need i >= 1, got {i}")
-    first = []
-    bound = 64
-    while len(first) < i:
-        first = [int(p) for p in primes_up_to(bound)]
-        bound *= 4
-    result = prod(first[:i])
-    if result > _INT64_MAX:
-        raise ValueError(f"primorial({i}) exceeds 64-bit range")
-    return result

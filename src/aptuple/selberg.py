@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._primes import primes_up_to, distinct_prime_factors
-from .patterns import Pattern, _int_array, _residue_counts, primorial
+from .patterns import Pattern, _int_array, _residue_counts
 
 # Twin-prime constant prod_{p>2} (1 - 1/(p-1)^2), 17 digits.
 TWIN_PRIME_C2 = 0.66016181584686957
@@ -85,11 +85,9 @@ def _omitted_divisor_excess(pattern: Pattern, primes: np.ndarray, prime_bound: i
 
 def _tail_bound(value: float, pattern: Pattern, primes: np.ndarray, prime_bound: int) -> float:
     # generic omitted factors are 1 + O(m^2/p^2), sum_{p>P} 1/p^2 < 1/(P log P);
-    # omitted primes dividing a distance add a first-order excess on top
-    if value == 0.0:
-        return 0.0
-    if prime_bound < 2:
-        return math.inf
+    # omitted primes dividing a distance add a first-order excess on top.
+    # selberg_constant calls it only for admissible patterns with m >= 2, so
+    # value > 0 and prime_bound >= m >= 2 (checked by _check_prime_limit).
     m = len(pattern)
     log_rel = m * m / (prime_bound * math.log(prime_bound))
     log_rel += _omitted_divisor_excess(pattern, primes, prime_bound)
@@ -185,17 +183,3 @@ def triple_constant_closed_form(prime_limit: int = 10**6) -> float:
     log_total = float(np.sum(np.log1p(-(3.0 * primes - 1.0) / (primes - 1.0) ** 3)))
     return 4.5 * math.exp(log_total)
 
-
-def primorial_pattern_table(
-    max_index: int, prime_limit: int = 10**6
-) -> list[tuple[int, float]]:
-    """Rows (N, S({0, N})) for primorial separations N = 2, 6, 30, ...
-
-    The values grow without bound in the index: each new primorial turns
-    one more factor into (1 - 1/p)^(-1) > 1 permanently.
-    """
-    rows = []
-    for i in range(1, max_index + 1):
-        n = primorial(i)
-        rows.append((n, selberg_constant(Pattern((0, n)), prime_limit).value))
-    return rows

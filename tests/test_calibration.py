@@ -10,8 +10,9 @@ from aptuple.calibration import (
     reproduce_tables,
     symmetry_report,
 )
+from aptuple._primes import primes_up_to
 from aptuple.census import count_patterns
-from aptuple.patterns import Pattern, Requirements
+from aptuple.patterns import Pattern, Requirements, _residue_counts
 from aptuple.selberg import selberg_constant
 from aptuple.sieve import OmegaTable
 
@@ -31,6 +32,15 @@ def test_family_rejects_new_primes():
     with pytest.raises(ValueError):
         PatternFamily(Pattern((0, 6, 12)), (5,))
     PatternFamily(Pattern((0, 6, 12)), (2, 3, 6, 12))  # support {2, 3} is fine
+
+
+@pytest.mark.parametrize("scales, message", [
+    ((), "at least one scale"),
+    ((0, 2), "scales must be >= 1"),
+])
+def test_family_rejects_missing_or_nonpositive_scales(scales, message):
+    with pytest.raises(ValueError, match=message):
+        PatternFamily(Pattern((0, 2)), scales)
 
 
 def test_family_rejects_repeated_scales():
@@ -66,6 +76,15 @@ def test_family_series_invariance():
     for family in family_presets().values():
         values = [selberg_constant(p).value for p in family.members]
         assert max(values) - min(values) < 1e-9
+
+
+def test_family_members_share_every_residue_count():
+    # equal nu_p at every prime is what lets one series value serve the family
+    primes = primes_up_to(10**5)
+    for family in family_presets().values():
+        base = _residue_counts(family.base, primes)
+        for member in family.members:
+            assert np.array_equal(_residue_counts(member, primes), base), member
 
 
 def test_worked_example(table_big):
@@ -153,14 +172,25 @@ def test_single_member_family_rejected(table_small):
         calibrate(table_small, family, Requirements((1, 1)), 10_000)
 
 
-def test_symmetry_report_insufficient_data():
-    # a table with no primes at all has no tuple in any ordering to divide by
+def _barren_table() -> OmegaTable:
+    """A table to 4000 in which every n >= 2 has four prime factors."""
     values = np.full(4001, 4, dtype=np.uint8)
     values[0] = values[1] = 0
     values.flags.writeable = False
-    barren = OmegaTable(limit=4000, values=values)
+    return OmegaTable(limit=4000, values=values)
+
+
+def test_calibrate_all_rejects_a_member_that_counts_zero():
+    # the theoretical count at 3000 passes, but no member has a tuple to divide
+    family = PatternFamily(Pattern((0, 2)), (1, 2))
+    with pytest.raises(UnreliableSampleError, match="returned zero"):
+        calibrate_all(_barren_table(), family, [Requirements((1, 1))], 3000)
+
+
+def test_symmetry_report_insufficient_data():
+    # a table with no primes at all has no tuple in any ordering to divide by
     with pytest.raises(UnreliableSampleError):
-        symmetry_report(barren, Pattern((0, 2)), Requirements((1, 2)), 3000)
+        symmetry_report(_barren_table(), Pattern((0, 2)), Requirements((1, 2)), 3000)
 
 
 def test_symmetry_report(table_big):

@@ -52,6 +52,13 @@ def test_predict(capsys):
     assert abs(doc["value"] - 141282.6) < 1.0
     assert doc["k"] == "1,2"
     assert abs(doc["loglog_product"] - 2.779943) < 1e-5
+    code, out, _ = run_cli(
+        capsys, "predict", "--pattern", "0,2", "--k", "1,2", "--x", "1e7", "--correction", "2"
+    )
+    assert code == 0
+    doubled = json.loads(out)
+    assert doubled["correction"] == 2.0
+    assert doubled["value"] == pytest.approx(2 * doc["value"], rel=1e-6)  # both at 7 digits
 
 
 def test_sieve_writes_table(capsys, tmp_path):
@@ -186,6 +193,23 @@ def test_calibrate_json(capsys, tmp_path):
     assert doc["rel_error_percent"] >= 0
 
 
+def test_calibrate_csv(capsys, tmp_path):
+    argv = ["calibrate", "--base", "0,2", "--scales", "1,2,4", "--k", "1,1", "--x", "1e4",
+            "--cache", str(tmp_path / "cache")]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    code, out, _ = run_cli(capsys, *argv, "--csv")
+    assert code == 0
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    summary = ["mean", "std_dev", "rel_error_percent"]
+    assert header == ["pattern", "actual", "theoretical", "ratio", *summary]
+    assert [row[0] for row in rows] == [m["pattern"] for m in doc["members"]]
+    assert [int(row[1]) for row in rows] == [m["actual"] for m in doc["members"]]
+    for row in rows:
+        assert [float(v) for v in row[4:]] == [doc[key] for key in summary]
+
+
 def test_tables_command(capsys, tmp_path):
     out_dir = tmp_path / "tables"
     code, out, _ = run_cli(
@@ -260,7 +284,7 @@ def test_usage_error_exit_code(capsys, tmp_path):
     assert info.value.code == 2
     # non-finite bounds are usage errors, not tracebacks
     for command in ("count", "predict"):
-        for bound in ("inf", "1e400", "nan"):
+        for bound in ("inf", "1e400", "nan", "1.5"):
             with pytest.raises(SystemExit) as info:
                 cli.main([command, "--pattern", "0,2", "--k", "1,1", "--x", bound])
             assert info.value.code == 2
@@ -445,6 +469,8 @@ def test_calibrate_rejects_repeated_scales(capsys, tmp_path):
     (["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "5,5", "--x", "1000"],
      "theoretical count 9.3 below 50"),
     (["tables", "--x", "1000", "--out", "out"], "theoretical count 16.8 below 50"),
+    (["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,x", "--x", "1e4"],
+     "bad requirements '1,x'"),
 ])
 def test_calibrate_and_tables_reject_arguments_before_the_cache(capsys, tmp_path, monkeypatch,
                                                                 argv, message):

@@ -10,7 +10,6 @@ from aptuple.patterns import (
     _residue_counts,
     distance_gcd_prime_support,
     is_admissible,
-    primorial,
     scale_pattern,
 )
 
@@ -173,11 +172,3 @@ def test_distance_gcd_prime_support():
     with pytest.raises(ValueError):
         distance_gcd_prime_support(Pattern((0,)))
 
-
-def test_primorial():
-    assert [primorial(i) for i in range(1, 6)] == [2, 6, 30, 210, 2310]
-    assert primorial(15) == 614889782588491410
-    with pytest.raises(ValueError):
-        primorial(16)  # exceeds 64-bit range
-    with pytest.raises(ValueError):
-        primorial(0)

@@ -7,13 +7,13 @@ import pytest
 
 from aptuple import selberg
 from aptuple._primes import primes_up_to
+from aptuple.calibration import reproduce_tables
 from aptuple.patterns import Pattern, scale_pattern
 from aptuple.selberg import (
     PRIME_LIMIT_BOUND,
     TWIN_PRIME_C2,
     _generic_product,
     pair_constant_closed_form,
-    primorial_pattern_table,
     selberg_constant,
     triple_constant_closed_form,
 )
@@ -80,13 +80,15 @@ def test_closed_form_matches_truncation():
         assert abs(closed - truncated) < 1e-5, n
 
 
-def test_primorial_table_monotone():
-    rows = primorial_pattern_table(5, PRIME_LIMIT)
-    assert [n for n, _ in rows] == [2, 6, 30, 210, 2310]
-    values = [v for _, v in rows]
+def test_primorial_table_monotone(table_big):
+    # Table 1: each new primorial turns one more factor into (1 - 1/p)^(-1) > 1
+    header, rows = reproduce_tables(table_big, 10**7)[0]
+    assert header == ["n", "selberg_constant", "closed_form"]
+    assert [n for n, _, _ in rows] == [2, 6, 30, 210, 2310]
+    values = [value for _, value, _ in rows]
     assert all(b > a for a, b in zip(values, values[1:]))
-    for n, value in rows:
-        assert abs(value - pair_constant_closed_form(n)) < 1e-5
+    for _, value, closed_form in rows:
+        assert abs(value - closed_form) < 1e-5
 
 
 def test_scaling_invariance():
@@ -198,6 +200,19 @@ def test_tail_bound_for_a_distance_with_a_large_prime():
     result = selberg_constant(Pattern((0, 2000006)), PRIME_LIMIT)
     error = abs(result.value - pair_constant_closed_form(2000006))
     assert error > 1e-6
+    assert error <= result.tail_bound < 2 * error
+
+
+@pytest.mark.parametrize("n, limit", [
+    (2 * 1009 * 1013, 1000),
+    (2 * 101 * 103 * 107, 100),
+    (2 * 1009 * 1013 * 1019, 1000),
+])
+def test_tail_bound_for_a_distance_with_several_large_primes(n, limit):
+    # the distance stripped of its primes <= P is a product of two or more
+    # primes above P, at least (P + 1)^2, so the bound counts its factors
+    result = selberg_constant(Pattern((0, n)), limit)
+    error = abs(selberg_constant(Pattern((0, n)), 4 * 10**6).value - result.value)
     assert error <= result.tail_bound < 2 * error
 
 

@@ -26,8 +26,8 @@ EXPORTED = (
     "CensusQuery", "CensusResult", "count_patterns", "count_tuples",
     "k_histogram",
     "AdmissibilityVerdict", "Pattern", "Requirements", "distance_gcd_prime_support",
-    "is_admissible", "primorial", "scale_pattern",
-    "TWIN_PRIME_C2", "SelbergResult", "pair_constant_closed_form", "primorial_pattern_table",
+    "is_admissible", "scale_pattern",
+    "TWIN_PRIME_C2", "SelbergResult", "pair_constant_closed_form",
     "selberg_constant", "triple_constant_closed_form",
     "OmegaTable", "build_omega_table", "load_table", "save_table", "write_omega_table",
 )
