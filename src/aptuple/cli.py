@@ -102,8 +102,21 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "aptuple"
 
 
-def _next_power_of_two(n: int) -> int:
-    return 1 << max(1, (n - 1).bit_length())
+def _cache_limit(min_limit: int, cached_limit: int = 0) -> int:
+    """The limit of the table a rebuild writes when min_limit is needed.
+
+    The need is at least 2 and, when a shorter table of cached_limit is
+    cached, at least twice that, so stepping x upward rebuilds O(log x)
+    times. It is rounded up to a multiple of 2^(bit_length - 4): the table
+    has at most four significant bits and is less than 1/8 longer than the
+    need. The result is capped at LIMIT_BOUND - 1 but never below min_limit,
+    so a min_limit past the bound still reaches the sieve's own error.
+    """
+    from .sieve import LIMIT_BOUND
+
+    need = max(2, min_limit, 2 * cached_limit)
+    grain = 1 << max(0, need.bit_length() - 4)
+    return max(min_limit, min(-(-need // grain) * grain, LIMIT_BOUND - 1))
 
 
 def _cache_file(cache_dir: str | Path | None) -> Path:
@@ -117,21 +130,25 @@ def ensure_table(
 ) -> tuple[OmegaTable, Path, bool]:
     """Load the cached table if it covers min_limit, else rebuild and persist.
 
-    A cache_dir of None means default_cache_dir(). Rebuilds round the
-    limit up to the next power of two so subsequent queries at nearby
-    bounds reuse the same file, but never past the largest limit the sieve
-    accepts. A rebuild streams the table into the cache file and then maps
-    it, so it never holds the table in memory.
+    A cache_dir of None means default_cache_dir(). A rebuild is sized by
+    _cache_limit: less than 12.5% past min_limit on a cold cache (1e7 + 48
+    builds 10,485,760 entries, 1e8 + 6 builds 100,663,296 and 1e10 builds
+    10,737,418,240), at least double a shorter cached table, and never past
+    the largest limit the sieve accepts. A cached file that does not load
+    raises its cache error and is left as it is. A rebuild streams the
+    table into the cache file and then maps it, so it never holds the
+    table in memory.
     """
-    from .sieve import LIMIT_BOUND, load_table, write_omega_table
+    from .sieve import load_table, write_omega_table
 
     path = _cache_file(cache_dir)
+    cached_limit = 0
     if path.exists():
         table = load_table(path)
         if table.limit >= min_limit:
             return table, path, False
-    limit = max(min_limit, min(_next_power_of_two(min_limit), LIMIT_BOUND - 1))
-    write_omega_table(limit, path, workers=workers)
+        cached_limit = table.limit
+    write_omega_table(_cache_limit(min_limit, cached_limit), path, workers=workers)
     return load_table(path), path, True
 
 
@@ -342,9 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_cache_flags(p):
         p.add_argument("--cache", default=None, help=f"cache directory (default ${CACHE_ENV} or ~/.cache/aptuple)")
         p.add_argument("--workers", type=_parse_workers, default=1,
-                       help="threads for sieving and census scans; on 2 vCPUs a second thread "
-                            "sieved 0.90-1.10x as fast as one (noise), and censused a mapped 1e9 "
-                            "table 0.94-1.45x as fast, depending on the patterns")
+                       help="threads for sieving and census scans; README has measured speed-ups")
 
     p = sub.add_parser("sieve", help="build and persist a factor-count table")
     p.add_argument("--limit", type=_parse_bound, required=True)

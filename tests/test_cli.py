@@ -5,6 +5,8 @@ import json
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import aptuple as ap
 from aptuple import cli, sieve
@@ -81,7 +83,7 @@ def test_count_uses_and_reuses_cache(capsys, tmp_path):
     assert doc1["count"] == 35  # twin pairs to 1000
     table_path = cache / "omega.bin"
     assert table_path.exists()
-    assert load_table(table_path).limit == 1024  # next power of two above 1002
+    assert load_table(table_path).limit == 1024  # 1002 rounded up to a multiple of 64
 
     stamp = table_path.stat().st_mtime_ns
     code, out2, _ = run_cli(capsys, *args)
@@ -101,7 +103,7 @@ def test_count_rebuilds_for_larger_x(capsys, tmp_path):
         capsys, "count", "--pattern", "0,2", "--k", "1,1", "--x", "3000", "--cache", str(cache)
     )
     assert code == 0
-    assert load_table(cache / "omega.bin").limit == 4096
+    assert load_table(cache / "omega.bin").limit == 3072
 
 
 def test_count_csv(capsys, tmp_path):
@@ -160,7 +162,8 @@ def test_cold_cache_covers_the_widest_offset(capsys, tmp_path, argv):
     assert code == 0, err
     x = int(argv[argv.index("--x") + 1])
     limit = load_table(tmp_path / "cache" / "omega.bin").limit
-    assert json.loads(out)["cache"]["limit"] == limit == 2 * x
+    expected = {1024: 1152, 4096: 4608, 8192: 9216}[x]
+    assert json.loads(out)["cache"]["limit"] == limit == expected
 
 
 def test_count_csv_has_no_cache_column(capsys, tmp_path):
@@ -332,7 +335,7 @@ def _record_builds(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("min_limit, limit", [
-    (1000, 1024), (2**33, 2**33), (2**33 + 1, LIMIT_BOUND - 1), (10**10, LIMIT_BOUND - 1),
+    (1000, 1024), (2**33, 2**33), (2**33 + 1, 9_663_676_416), (10**10, 10_737_418_240),
     (LIMIT_BOUND - 1, LIMIT_BOUND - 1),
 ])
 def test_rebuild_rounds_up_within_the_sieve_bound(tmp_path, monkeypatch, min_limit, limit):
@@ -341,11 +344,55 @@ def test_rebuild_rounds_up_within_the_sieve_bound(tmp_path, monkeypatch, min_lim
     assert built == [limit] and rebuilt and path == tmp_path / "omega.bin"
 
 
+@pytest.mark.parametrize("min_limit, cached_limit, limit", [
+    (1, 0, 2), (3, 0, 3),
+    (1002, 0, 1024), (1026, 0, 1152),
+    (3002, 1024, 3072), (1100, 1024, 2048),
+    (10_000_048, 0, 10_485_760), (100_000_006, 0, 100_663_296),
+    (10**10, 0, 10_737_418_240), (2**33, 0, 2**33),
+    (2**33 + 1, 2**33, LIMIT_BOUND - 1), (LIMIT_BOUND - 1, 0, LIMIT_BOUND - 1),
+])
+def test_cache_limit(min_limit, cached_limit, limit):
+    assert cli._cache_limit(min_limit, cached_limit) == limit
+
+
+@given(st.integers(min_value=1, max_value=LIMIT_BOUND - 1))
+def test_cache_limit_is_less_than_an_eighth_long(need):
+    limit = cli._cache_limit(need)
+    assert need <= limit < LIMIT_BOUND
+    if need >= 8:
+        assert 8 * (limit - need) < need
+
+
+def test_count_to_1_on_a_cold_cache_builds_a_table_of_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "count", "--pattern", "0", "--k", "1", "--x", "1",
+                             "--cache", str(tmp_path))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["count"] == 0 and doc["cache"]["limit"] == 2
+
+
+@pytest.mark.parametrize("raw, error", [
+    (b"garbage", "CacheFormatError"),
+    (sieve._header(100) + bytes(11), "CacheCorruptionError"),
+])
+def test_unreadable_cache_exits_1_and_is_left_as_it_is(capsys, tmp_path, monkeypatch, raw, error):
+    built = _record_builds(monkeypatch)
+    path = tmp_path / "omega.bin"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, "count", "--pattern", "0,2", "--k", "1,1", "--x", "1000",
+                             "--cache", str(tmp_path))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == error
+    assert built == [] and list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == raw
+
+
 def test_count_past_2_33_builds_below_the_bound(capsys, tmp_path, monkeypatch):
     built = _record_builds(monkeypatch)
     code, _, err = run_cli(capsys, "count", "--pattern", "0,2", "--k", "1,1", "--x", "1e10",
                            "--cache", str(tmp_path))
-    assert built == [LIMIT_BOUND - 1]
+    assert built == [10_737_418_240]
     # the recorded build wrote a table of 1000, too short for the count
     assert code == 1 and json.loads(err)["error"] == "TableBoundError"
 
