@@ -15,27 +15,33 @@ takes Omega(n - 1) from Omega(2m) = Omega(m) + 1, and the buffer read as
 bytes is the segment's stretch of the table. One byte per value keeps a
 10^9-entry table around 1 GB.
 
-Each table is sieved from one plan. The powers 3, 9, 27, 5, 25, 7, 11 and
-13 (those that are base prime powers <= limit) have credits periodic in
-the odd index i = (n - 1)/2 with period WHEEL = 3^3 5^2 7 11 13 = 675675,
-so their sum is built once as a template of one period (or of the whole
+Each table is sieved from one plan. The powers 3, 9, 5, 7, 11 and 13
+(those that are base prime powers <= limit) have credits periodic in the
+odd index i = (n - 1)/2 with period WHEEL = 3^2 5 7 11 13 = 45045, so
+their sum is built once as a template of one period (90 KB, or the whole
 table, if that is shorter), and a segment starts as adds of the template
 to its start values, in pieces that wrap at the period. Every other base
-prime power q gets a first index in the segment, computed for all of them
-in one numpy expression. For a segment of S odd entries, a dense power
-(256 q < S) is one strided add. A sparse power (256 q >= S) has at most
-256 odd multiples in the segment, and all of them go through one scatter:
-np.repeat and one cumsum list the hits of every sparse power, and
-np.add.at adds their credits, in calls of about SCATTER_CHUNK hits, so the
-index temporaries stay near 0.6 MB. add.at adds twice where two powers of
-one prime share an n, and a power with no multiple in the segment adds
-nothing, so the table is the same for any cut; the cut only sets the speed.
-A strided add costs a Python-level call of several microseconds however
-few its hits, while the scatter costs about 10 ns a hit, so the cut moves
-every power with few hits into the scatter and leaves the loop to the
-dense powers, whose cost is memory, not calls. At limit 1e8 the 48
-segments took 0.228 s of CPU with the cut at S/256, 0.249 s at S/128,
-0.272 s at S/512, and 0.274 s with the loop for every power below S.
+prime power q, 25 and 27 among them, gets a first index in the segment,
+computed for all of them in one numpy expression. For a segment of S odd
+entries, a dense power (256 q < S) is one strided add. A sparse power
+(256 q >= S) has at most 256 odd multiples in the segment, and all of
+them go through one scatter: np.repeat and one cumsum list the hits of
+every sparse power, and np.add.at adds their credits, in calls of about
+SCATTER_CHUNK = 2^14 hits, so the index temporaries stay near 0.2 MB.
+add.at adds twice where two powers of one prime share an n, and a power
+with no multiple in the segment adds nothing, so the table is the same
+for any cut; the cut only sets the speed. A strided add costs a
+Python-level call of several microseconds however few its hits, while
+the scatter costs about 10 ns a hit, so the cut moves every power with
+few hits into the scatter and leaves the loop to the dense powers, whose
+cost is memory, not calls. With a 675675-entry template and scatter
+calls of 2^16 hits, the 48 segments of limit 1e8 took 0.228 s of CPU on
+2 vCPUs with the cut at S/256, 0.249 s at S/128, 0.272 s at S/512, and
+0.274 s with the loop for every power below S. With the template and
+scatter calls here, two processes of 21 interleaved rounds each gave
+medians of 0.217 and 0.275 s at S/256, 0.223 and 0.286 s at S/128,
+0.223 and 0.255 s at S/512, and 0.230 and 0.264 s with the loop: the cut
+now moves the time less than the noise between processes does.
 
 Every limit uses one segment size, DEFAULT_SEGMENT_SIZE = 2^21 numbers
 (S = 2^20) unless a build asks for another. The loop then covers the
@@ -87,16 +93,19 @@ buffer's bytes are values[lo:hi] in order (for odd hi - lo the buffer has
 one more entry, whose high byte, n = hi, is cut off). That low byte is
 Omega(lo/2 + i) + 1, and the halves values[lo/2 : lo/2 + ceil((hi - lo)/2)]
 end at or below lo, since hi <= 2 lo: they lie in spans finished before.
-Reading them into one reused buffer, adding 1 there in place, clearing the
-low bytes and or-ing the buffer in completes the span. The first span,
-n = 0 and 1, needs no halves: the cleared low byte is values[0] = 0, and
-the sieve gives Omega(1) = 0. So the table is one ordered stream of
-finished blocks. build_omega_table copies them into memory;
-write_omega_table appends them to the cache file and reads each span's
-halves back from the bytes it has written, so it holds O(segment) memory
-at any limit. With more than one worker, threads sieve the packed buffers
-of the next spans while the calling thread completes and writes them in
-order, and at most `workers` spans are in flight.
+The span is completed in chunks of FINISH_CHUNK = 2^18 entries: each
+chunk's low bytes are cleared, or-ed with its halves and incremented, and
+since Omega(lo/2 + i) <= 33 the increment never carries into the high
+byte. The first span, n = 0 and 1, needs no halves: the cleared low byte
+is values[0] = 0, and the sieve gives Omega(1) = 0. So the table is one
+ordered stream of finished blocks. build_omega_table copies them into
+memory and reads each chunk's halves straight from its own values;
+write_omega_table appends them to the cache file and reads each chunk's
+halves back from the bytes it has written, into one buffer of
+FINISH_CHUNK bytes, so it holds O(segment) memory at any limit. With
+more than one worker, threads sieve the packed buffers of the next spans
+while the calling thread completes and writes them in order, and at most
+`workers` spans are in flight.
 
 A cache file is a 13-byte header followed by the values. Both writers,
 save_table and write_omega_table, go through _publish: it fails with ENOSPC
@@ -173,9 +182,10 @@ class OmegaTable:
 
 LOG_UNITS = 7  # accumulator units per bit of log2 n
 LIMIT_BOUND = 1 << 34  # limits must stay below this for the 8-bit log accumulator
-WHEEL = 3**3 * 5**2 * 7 * 11 * 13  # period, in odd indices, of the sieve template
+WHEEL = 3**2 * 5 * 7 * 11 * 13  # period, in odd indices, of the sieve template
 SPARSE_HITS = 256  # a power with at most this many odd multiples per segment is scattered
-SCATTER_CHUNK = 1 << 16  # hits per np.add.at call of the scatter
+SCATTER_CHUNK = 1 << 14  # hits per np.add.at call of the scatter
+FINISH_CHUNK = 1 << 18  # entries per halves request when a span's low bytes are finished
 _DONTNEED = getattr(mmap, "MADV_DONTNEED", None)  # None where mmap has no madvise
 
 
@@ -354,10 +364,11 @@ def _packed_segments(spans: list[tuple[int, int]], length: int, plan: _SievePlan
 def _omega_blocks(limit: int, segment_size: int, workers: int, halves):
     """Yield values[lo:hi] of the table for consecutive spans, as uint8 arrays.
 
-    halves(a, out) fills the uint8 array out with values[a : a + len(out)],
-    and is only asked for entries below the lo of the block being made
-    (a + len(out) <= lo), all in blocks yielded before. A yielded block is
-    a view of a reused buffer, valid until the next one is asked for.
+    halves(a, n) returns values[a : a + n] as a uint8 array, valid until it
+    is called again; it is asked only for n <= FINISH_CHUNK entries below
+    the lo of the block being made (a + n <= lo), all in blocks yielded
+    before. A yielded block is a view of a reused buffer, valid until the
+    next one is asked for.
     """
     step = segment_size & ~1
     # [0, 2), then spans doubling in length up to step, then spans of step,
@@ -367,17 +378,16 @@ def _omega_blocks(limit: int, segment_size: int, workers: int, halves):
         lo = spans[-1][1]
         spans.append((lo, min(lo + min(lo, step), limit + 1)))
     length = max((hi - lo + 1) // 2 for lo, hi in spans)
-    buf = np.empty(length, dtype=np.uint8)
     for (lo, hi), packed in zip(spans, _packed_segments(spans, length, _sieve_plan(limit),
                                                          workers)):
         # the cleared low byte of [0, 2) is Omega(0) = 0; every later low byte
         # of entry i is Omega(lo + 2i) = Omega(lo/2 + i) + 1
-        packed &= 0xFF00
-        if lo > 0:
-            low = buf[: len(packed)]
-            halves(lo >> 1, low)
-            np.add(low, 1, out=low)
-            packed |= low
+        for c in range(0, len(packed), FINISH_CHUNK):
+            part = packed[c : c + FINISH_CHUNK]
+            part &= 0xFF00
+            if lo > 0:
+                part |= halves((lo >> 1) + c, len(part))
+                part += 1
         yield packed.view(np.uint8)[: hi - lo]
 
 
@@ -420,8 +430,8 @@ def build_omega_table(
     values = np.empty(limit + 1, dtype=np.uint8)
     lo = 0
 
-    def halves(a: int, out: np.ndarray) -> None:
-        np.copyto(out, values[a : a + len(out)])
+    def halves(a: int, n: int) -> np.ndarray:
+        return values[a : a + n]
 
     for block in _omega_blocks(limit, segment_size, workers, halves):
         values[lo : lo + len(block)] = block
@@ -514,9 +524,11 @@ def write_omega_table(
 
     def write(fd: int) -> None:
         _write_all(fd, _header(limit))
+        buf = np.empty(FINISH_CHUNK, dtype=np.uint8)
 
-        def halves(a: int, out: np.ndarray) -> None:
-            _read_into(fd, out, HEADER_SIZE + a)
+        def halves(a: int, n: int) -> np.ndarray:
+            _read_into(fd, buf[:n], HEADER_SIZE + a)
+            return buf[:n]
 
         for block in _omega_blocks(limit, segment_size, workers, halves):
             _write_all(fd, block)

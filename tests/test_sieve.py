@@ -102,8 +102,10 @@ def test_worker_determinism():
 @pytest.mark.parametrize("reload", [False, True])
 # 1 << 22 and the default each sieve every limit here in one segment
 @pytest.mark.parametrize("segment_size", [2, 3, 999, 1 << 22, DEFAULT_SEGMENT_SIZE])
-# 26: 27 is above the limit and 7, 11, 13 above the root (leftover primes);
-# 168 and 169: 13 is just above and at the root; 676: every wheel power is in
+# 26: 25 is a power outside the wheel, 27 is above the limit, and 7, 11, 13
+# are above the root (leftover primes); 168 and 169: 13 is just above and
+# at the root, so at 169 every wheel power is in; 676: 17, 19 and 23 are
+# base primes too, and 25, 27 and 81 are powers the wheel leaves out
 @pytest.mark.parametrize("limit", [2, 3, 26, 168, 169, 676, 9_999, 10_000])
 def test_odd_sieve_matches_oracle(tmp_path, limit, segment_size, reload):
     table = ap.build_omega_table(limit, segment_size=segment_size)
@@ -158,8 +160,8 @@ def test_pinned_table_hashes(tmp_path, limit, reload, digest):
 
 @pytest.mark.parametrize("workers, segment_size", [
     (2, DEFAULT_SEGMENT_SIZE),
-    # segments of 500001 odd entries start at shifting points of the
-    # 675675-entry wheel period, so template slices wrap it
+    # segments of 500001 odd entries (11.1 periods of the 45045-entry wheel)
+    # start at shifting points of the period, so template slices wrap it
     (1, 1_000_002),
     (2, 1_000_002),
 ])
@@ -462,8 +464,8 @@ def test_streamed_file_equals_saved_table_small(tmp_path, workers):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("segment_size", [999, None])  # None: the default segment size
-# 2 WHEEL + 7: segments of 999 wrap the template period many times
-@pytest.mark.parametrize("limit", [2 * WHEEL + 7, 10**5, 10**5 + 1])
+# 30 WHEEL + 7: segments of 999 wrap the template period many times
+@pytest.mark.parametrize("limit", [30 * WHEEL + 7, 10**5, 10**5 + 1])
 def test_streamed_file_equals_saved_table(tmp_path, limit, segment_size, workers):
     path = tmp_path / "streamed.bin"
     sized = {} if segment_size is None else {"segment_size": segment_size}
@@ -480,17 +482,17 @@ def test_pinned_hash_through_the_writer(tmp_path, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_streamed_build_holds_segments_not_the_table(tmp_path, workers):
-    # the 32 MiB table in 16 segments of 2^21: the plan's one-period template
-    # (1.3 MiB), `workers` segment buffers of 2 MiB, the 1 MiB halves buffer
-    # and each worker's scatter chunk (0.6 MiB), never the table; measured
-    # 4.8 MiB with 1 worker and 6.9-7.3 MiB with 2
+    # the 32 MiB table in 16 segments of 2^21: `workers` segment buffers of
+    # 2 MiB, the plan's one-period template (88 KiB), the 256 KiB buffer the
+    # halves are read into and each worker's scatter chunk (0.2 MiB), never
+    # the table; measured 2.6 MiB with 1 worker and 4.7 MiB with 2
     tracemalloc.start()
     try:
         ap.write_omega_table(2**25, tmp_path / "omega.bin", workers=workers)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (4 + 2 * workers) * 2**20
+    assert peak < (1 + 2 * workers) * 2**20
     assert (tmp_path / "omega.bin").stat().st_size == 2**25 + 14
 
 
@@ -608,8 +610,8 @@ def test_scatter_threshold_and_chunks_keep_the_table(monkeypatch, hits, chunk):
 
 def test_scattered_powers_of_one_prime_share_an_n():
     # a segment of 4096 numbers scatters every power q with 256 q >= 2048:
-    # 49 and 343 (7 itself is in the wheel), and 289 and 4913, which both
-    # hit n = 14739 = 3 * 17^3
+    # 49 and 343 (7 itself is in the wheel), 25 and 125 (5 is too), and 289
+    # and 4913, which both hit n = 14739 = 3 * 17^3
     lo, hi = 12_288, 16_384
     assert 49 * sieve.SPARSE_HITS >= (hi - lo) // 2
     omega = _segment_omega(lo, hi, _sieve_plan(10**6), np.empty(2048, "<u2")) >> 8
@@ -627,12 +629,31 @@ def test_halves_come_from_finished_blocks(monkeypatch, segment_size, top):
     for limit in [*range(2, 10), *(2**k + d for k in range(2, top + 1) for d in (-1, 1)), 100_001]:
         made = 0
 
-        def halves(a, out):
-            assert a + len(out) <= made, (limit, a, len(out), made)
+        def halves(a, n):
+            assert a + n <= made and n <= sieve.FINISH_CHUNK, (limit, a, n, made)
+            return np.zeros(n, dtype=np.uint8)
 
         for block in sieve._omega_blocks(limit, segment_size, 1, halves):
             made += len(block)
         assert made == limit + 1
+
+
+@pytest.mark.parametrize("segment_size, chunk", [
+    (1_000, 7),  # spans of 500 entries, not a multiple of the chunk
+    (1_000, 250),  # spans of exactly two chunks
+    (1_000, 1),
+    (3, 7),  # every span is shorter than one chunk
+    (999, None),  # None: the default chunk, longer than every span
+])
+@pytest.mark.parametrize("limit", [9_999, 10_000])  # 10_000: the last span has odd hi - lo
+def test_chunked_finish_keeps_the_table(tmp_path, monkeypatch, limit, segment_size, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(sieve, "FINISH_CHUNK", chunk)
+    expected = [trial_division_omega(n) for n in range(limit + 1)]
+    table = ap.build_omega_table(limit, segment_size=segment_size)
+    assert table.values.tolist() == expected
+    ap.write_omega_table(limit, tmp_path / "omega.bin", segment_size=segment_size)
+    assert ap.load_table(tmp_path / "omega.bin").values.tolist() == expected
 
 
 def test_save_fails_early_on_a_full_disk(tmp_path, monkeypatch):
