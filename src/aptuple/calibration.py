@@ -9,10 +9,16 @@ correction factor C(K): its family mean is the estimate, and the spread
 across members gauges the noise. symmetry_report checks the other
 invariance, under reorderings of K, on the raw counts of one pattern.
 
+A calibration comes in two halves. plan_calibration makes every check
+that needs no table and evaluates the base series, once, into a
+CalibrationPlan; the plan's reports method then scans a table once for
+all its members and vectors. calibrate_all is the two in a row, and the
+CLI plans before it loads a table and scans with that same plan.
+
 reproduce_tables returns the paper's tables as data, each a (header, rows)
 pair: Table 1 from the pair constants S({0, N}) at the primorials N up to
-2310, then one table for each CORRECTION_TABLES entry, so another table is
-another entry there.
+2310, then one table for each plan of table_plans, one per
+CORRECTION_TABLES entry, so another table is another entry there.
 """
 
 from __future__ import annotations
@@ -114,35 +120,71 @@ class CalibrationReport:
     rel_error_percent: float
 
 
-def _expected_counts(
-    family: PatternFamily,
-    requirement_list: Sequence[Requirements],
-    x: int,
-    prime_limit: int,
-) -> list[float]:
-    """The shared theoretical count of each vector: all of calibrate_all that needs no table.
+@dataclass(frozen=True)
+class CalibrationPlan:
+    """All of a family calibration that needs no table: checked arguments and theoretical counts.
 
-    The count comes from the base pattern's series, evaluated once.
+    Made by plan_calibration; reports then scans a table once for it.
+    """
+
+    family: PatternFamily
+    vectors: tuple[Requirements, ...]
+    x: int
+    theoreticals: tuple[float, ...]
+
+    def reports(self, table: OmegaTable, parity: str = "odd", mode: str = "exact",
+                workers: int = 1) -> list[CalibrationReport]:
+        """One scan at x counts every member for all the vectors; then each vector's statistics."""
+        members = self.family.members
+        counts = count_patterns(
+            table, members, self.vectors, self.x, parity=parity, mode=mode, workers=workers
+        )
+        reports = []
+        for j, (requirements, theoretical) in enumerate(zip(self.vectors, self.theoreticals)):
+            per_member = []
+            for member, member_counts in zip(members, counts):
+                actual = member_counts[j]
+                if actual == 0:
+                    raise UnreliableSampleError(f"census of {member} at x={self.x} returned zero")
+                per_member.append(
+                    MemberCalibration(member, actual, theoretical, actual / theoretical)
+                )
+            ratios = [mc.ratio for mc in per_member]
+            mean = math.fsum(ratios) / len(ratios)
+            std_dev = math.sqrt(math.fsum((r - mean) ** 2 for r in ratios) / (len(ratios) - 1))
+            reports.append(CalibrationReport(
+                family=self.family, requirements=requirements, x=self.x,
+                per_member=tuple(per_member), mean=mean, std_dev=std_dev,
+                rel_error_percent=100.0 * std_dev / mean,
+            ))
+        return reports
+
+
+def plan_calibration(
+    family: PatternFamily, vectors: Sequence[Requirements], x: int, prime_limit: int
+) -> CalibrationPlan:
+    """Check a calibration's arguments and evaluate the base pattern's series, once.
+
     Raises ValueError for arguments calibrate_all cannot take, cheapest
     checks first, and UnreliableSampleError for a count too small to
-    calibrate against. The CLI runs it before it builds or loads a table.
+    calibrate against. The CLI plans before it builds or loads a table.
     """
     _check_x(x)
     _check_prime_limit(prime_limit, len(family.base))
-    for requirements in requirement_list:
+    for requirements in vectors:
         _check_length(family.base, requirements)
     if len(family.scales) < 2:
         raise ValueError("need at least two family members for a spread estimate")
 
     # PatternFamily admits only scales that keep every nu_p, so members share this value
     series = selberg_constant(family.base, prime_limit).value
-    theoreticals = [predicted_tuple_count(series, req, x) for req in requirement_list]
+    theoreticals = tuple(predicted_tuple_count(series, req, x) for req in vectors)
     for theoretical in theoreticals:
         if theoretical < MIN_THEORETICAL_COUNT:
             raise UnreliableSampleError(
                 f"theoretical count {theoretical:.1f} below {MIN_THEORETICAL_COUNT:.0f}"
             )
-    return theoreticals
+    return CalibrationPlan(family, tuple(vectors), x, theoreticals)
 
 
 def calibrate_all(
@@ -161,38 +203,9 @@ def calibrate_all(
     shared theoretical count uses the base pattern's series value, which
     every member has by the construction of PatternFamily.
     """
-    theoreticals = _expected_counts(family, requirement_list, x, prime_limit)
-    members = family.members
-    counts = count_patterns(
-        table, members, requirement_list, x, parity=parity, mode=mode, workers=workers
+    return plan_calibration(family, requirement_list, x, prime_limit).reports(
+        table, parity, mode, workers
     )
-    reports = []
-    for j, (requirements, theoretical) in enumerate(zip(requirement_list, theoreticals)):
-        per_member = []
-        for member, member_counts in zip(members, counts):
-            actual = member_counts[j]
-            if actual == 0:
-                raise UnreliableSampleError(f"census of {member} at x={x} returned zero")
-            per_member.append(
-                MemberCalibration(member, actual, theoretical, actual / theoretical)
-            )
-        ratios = [mc.ratio for mc in per_member]
-        mean = math.fsum(ratios) / len(ratios)
-        std_dev = math.sqrt(
-            math.fsum((r - mean) ** 2 for r in ratios) / (len(ratios) - 1)
-        )
-        reports.append(
-            CalibrationReport(
-                family=family,
-                requirements=requirements,
-                x=x,
-                per_member=tuple(per_member),
-                mean=mean,
-                std_dev=std_dev,
-                rel_error_percent=100.0 * std_dev / mean,
-            )
-        )
-    return reports
 
 
 def calibrate(
@@ -262,6 +275,13 @@ CORRECTION_TABLES = (
 )
 
 
+def table_plans(x: int, prime_limit: int) -> list[CalibrationPlan]:
+    """A checked plan for each CORRECTION_TABLES entry, in order; reads no table."""
+    presets = family_presets()
+    return [plan_calibration(presets[name], vectors, x, prime_limit)
+            for name, vectors in CORRECTION_TABLES]
+
+
 def reproduce_tables(
     table: OmegaTable,
     x: int = 10**7,
@@ -272,11 +292,19 @@ def reproduce_tables(
 
     Table 1 gives S({0, N}) for each of TABLE1_SEPARATIONS by both
     evaluation routes: the truncated series and the closed form.
-    Each CORRECTION_TABLES entry gives one more table, with a row of
+    Each plan of table_plans gives one more table, with a row of
     demands, family mean and relative spread per vector: Table 2 from the
     reduced pair family (separations 4, 8, 16), Table 3 from the full
-    {0,2,6} family including the base.
+    {0,2,6} family including the base. The plans are made, and so every
+    argument checked, before Table 1 or any scan.
     """
+    return _tables(table, table_plans(x, prime_limit), prime_limit, workers)
+
+
+def _tables(
+    table: OmegaTable, plans: Sequence[CalibrationPlan], prime_limit: int, workers: int
+) -> list[tuple[list[str], list[list]]]:
+    """reproduce_tables from plans already made: Table 1, then one scan per plan."""
     tables = [(
         ["n", "selberg_constant", "closed_form"],
         [
@@ -284,14 +312,11 @@ def reproduce_tables(
             for n in TABLE1_SEPARATIONS
         ],
     )]
-    presets = family_presets()
-    for name, vectors in CORRECTION_TABLES:
-        reports = calibrate_all(
-            table, presets[name], vectors, x, prime_limit=prime_limit, workers=workers
-        )
-        demands = [f"k{i}" for i in range(1, len(vectors[0]) + 1)]
+    for plan in plans:
+        demands = [f"k{i}" for i in range(1, len(plan.vectors[0]) + 1)]
         tables.append((
             demands + ["correction_factor", "error_percent"],
-            [[*r.requirements.demands, r.mean, r.rel_error_percent] for r in reports],
+            [[*r.requirements.demands, r.mean, r.rel_error_percent]
+             for r in plan.reports(table, workers=workers)],
         ))
     return tables

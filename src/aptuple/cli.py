@@ -277,7 +277,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    from .calibration import PatternFamily, _expected_counts, calibrate
+    from .calibration import PatternFamily, plan_calibration
     from .patterns import Pattern, Requirements
 
     base = Pattern.parse(args.base)
@@ -287,13 +287,9 @@ def _cmd_calibrate(args) -> int:
         raise ValueError(f"bad --scales {args.scales!r}: {exc}") from exc
     family = PatternFamily(base, scales)
     requirements = Requirements.parse(args.k)
-    _expected_counts(family, [requirements], args.x, args.prime_limit)  # before the table is built
+    plan = plan_calibration(family, [requirements], args.x, args.prime_limit)  # before the table
     table, cache = _require_table(args, args.x, family.members)
-    report = calibrate(
-        table, family, requirements, args.x,
-        prime_limit=args.prime_limit, parity=args.parity, mode=args.mode,
-        workers=args.workers,
-    )
+    [report] = plan.reports(table, args.parity, args.mode, args.workers)
     members = [
         {
             "pattern": str(mc.pattern),
@@ -329,15 +325,11 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_tables(args) -> int:
-    from .calibration import CORRECTION_TABLES, _expected_counts, family_presets, reproduce_tables
+    from .calibration import _tables, table_plans
 
-    presets = family_presets()
-    members = []
-    for name, vectors in CORRECTION_TABLES:
-        _expected_counts(presets[name], vectors, args.x, args.prime_limit)  # before the table is built
-        members += presets[name].members
-    table, cache = _require_table(args, args.x, members)
-    tables = reproduce_tables(table, args.x, prime_limit=args.prime_limit, workers=args.workers)
+    plans = table_plans(args.x, args.prime_limit)  # before the table
+    table, cache = _require_table(args, args.x, [m for plan in plans for m in plan.family.members])
+    tables = _tables(table, plans, args.prime_limit, args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [out_dir / f"table{i}.csv" for i in range(1, len(tables) + 1)]

@@ -7,6 +7,7 @@ from aptuple.calibration import (
     calibrate,
     calibrate_all,
     family_presets,
+    plan_calibration,
     reproduce_tables,
     symmetry_report,
 )
@@ -104,6 +105,7 @@ def test_calibrate_all_equals_repeated_calibrate(table_big, parity):
     vectors = [Requirements(d) for d in ((1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3))]
     reports = calibrate_all(table_big, family, vectors, X7, parity=parity)
     assert reports == [calibrate(table_big, family, v, X7, parity=parity) for v in vectors]
+    assert reports == plan_calibration(family, vectors, X7, 10**6).reports(table_big, parity=parity)
 
 
 def test_calibrate_all_rejects_any_unreliable_vector(table_small):

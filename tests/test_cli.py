@@ -528,3 +528,26 @@ def test_calibrate_and_tables_reject_arguments_before_the_cache(capsys, tmp_path
     error = "UnreliableSampleError" if message.startswith("theoretical count") else "ValueError"
     assert doc["error"] == error and message in doc["message"]
     assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("argv, most", [
+    # five pair constants for Table 1, then one base series per family
+    (["tables", "--x", "1e4", "--out", "out"], 7),
+    (["calibrate", "--base", "0,2", "--scales", "1,2,4,8", "--k", "1,2", "--x", "1e4"], 1),
+])
+def test_each_family_series_is_evaluated_once_per_op(capsys, tmp_path, monkeypatch, argv, most):
+    # the plan made before the cache is the plan scanned, so no series is summed twice
+    from aptuple import calibration
+
+    series = []
+    evaluate = calibration.selberg_constant
+
+    def counted(*args, **kwargs):
+        series.append(args[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "selberg_constant", counted)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv, "--cache", "cache")
+    assert code == 0, err
+    assert 1 <= len(series) <= most, series
