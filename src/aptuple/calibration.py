@@ -291,7 +291,7 @@ def reproduce_tables(
     """Recompute the paper's three tables at the given bound, as (header, rows) in order.
 
     Table 1 gives S({0, N}) for each of TABLE1_SEPARATIONS by both
-    evaluation routes: the truncated series and the closed form.
+    evaluation routes: the Euler product and the closed form.
     Each plan of table_plans gives one more table, with a row of
     demands, family mean and relative spread per vector: Table 2 from the
     reduced pair family (separations 4, 8, 16), Table 3 from the full

@@ -365,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.set_defaults(func=_cmd_admissible)
 
-    p = sub.add_parser("selberg", help="truncated singular-series value")
+    p = sub.add_parser("selberg", help="singular-series value with its error bound")
     p.add_argument("--pattern", required=True)
     p.add_argument("--prime-limit", type=_parse_bound, default=10**6)
     p.set_defaults(func=_cmd_selberg)

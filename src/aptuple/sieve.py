@@ -34,14 +34,11 @@ for any cut; the cut only sets the speed. A strided add costs a
 Python-level call of several microseconds however few its hits, while
 the scatter costs about 10 ns a hit, so the cut moves every power with
 few hits into the scatter and leaves the loop to the dense powers, whose
-cost is memory, not calls. With a 675675-entry template and scatter
-calls of 2^16 hits, the 48 segments of limit 1e8 took 0.228 s of CPU on
-2 vCPUs with the cut at S/256, 0.249 s at S/128, 0.272 s at S/512, and
-0.274 s with the loop for every power below S. With the template and
-scatter calls here, two processes of 21 interleaved rounds each gave
-medians of 0.217 and 0.275 s at S/256, 0.223 and 0.286 s at S/128,
-0.223 and 0.255 s at S/512, and 0.230 and 0.264 s with the loop: the cut
-now moves the time less than the noise between processes does.
+cost is memory, not calls. The 48 segments of limit 1e8 took 0.22 to
+0.29 s with the cut at S/128, S/256 or S/512 and with the loop for every
+power below S (medians of 21 interleaved rounds in each of two
+processes): within that range the cut moves the time less than the noise
+between processes does.
 
 Every limit uses one segment size, DEFAULT_SEGMENT_SIZE = 2^21 numbers
 (S = 2^20) unless a build asks for another. The loop then covers the

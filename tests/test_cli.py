@@ -232,8 +232,8 @@ def test_tables_command(capsys, tmp_path):
     assert rows2 == [
         ["k1", "k2", "correction_factor", "error_percent"],
         ["1", "2", "1.233682", "1.994895"],
-        ["1", "3", "0.9557373", "2.046969"],
-        ["2", "2", "0.9852783", "3.082323"],
+        ["1", "3", "0.9557374", "2.046969"],
+        ["2", "2", "0.9852784", "3.082323"],
         ["2", "3", "0.5858019", "3.130361"],
         ["3", "3", "0.2594298", "3.059329"],
     ]
@@ -246,8 +246,8 @@ def test_tables_command(capsys, tmp_path):
 # sha256 of table1.csv..table3.csv at x = 1e7, as the CLI writes them
 TABLE_DIGESTS = [
     "06ad0e6946296cc8a74b280a8d0fa08b061ffe96733751b9e490dc3b21959434",
-    "12fd4ba8c083c79cb0e7ae9cedc51f796db1f073a055a88806e0f964c557f037",
-    "5141c6161abcba4335a2440af5b0f5cf70cb54547ffbbb1aa0e4083d293d88b7",
+    "58d8385d768b33e8524952fab85a6985e690b9d1c23f2521f102a3d9597e32ea",
+    "9ce86f89228c23a905cd5ae7612abdb610f893843bc4ed84ad3164d8c4eb6bc4",
 ]
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -10,9 +11,11 @@ from aptuple._primes import primes_up_to
 from aptuple.calibration import reproduce_tables
 from aptuple.patterns import Pattern, scale_pattern
 from aptuple.selberg import (
+    MAX_PATTERN_LENGTH,
     PRIME_LIMIT_BOUND,
+    PRIME_ZETA_TAIL,
+    TAIL_START,
     TWIN_PRIME_C2,
-    _generic_product,
     pair_constant_closed_form,
     selberg_constant,
     triple_constant_closed_form,
@@ -56,8 +59,43 @@ def test_prime_limit_too_small():
         selberg_constant(Pattern((0, 2, 6)), 2)
 
 
-def test_prime_limit_field_is_largest_included():
-    assert selberg_constant(Pattern((0, 2)), 10).prime_limit == 7
+def test_prime_limit_field_is_the_argument():
+    assert selberg_constant(Pattern((0, 2)), 10).prime_limit == 10
+    assert selberg_constant(Pattern((0,)), 10).prime_limit == 10
+
+
+def test_twin_pair_is_twice_the_twin_prime_constant():
+    assert abs(selberg_constant(Pattern((0, 2)), PRIME_LIMIT).value - 2 * TWIN_PRIME_C2) <= 1e-14
+
+
+def test_pair_with_a_large_prime_inside_the_limit():
+    # 1000003 divides the distance and lies below the limit, so its factor is read directly
+    n = 2 * 1000003
+    result = selberg_constant(Pattern((0, n)), 10**7)
+    assert abs(result.value - pair_constant_closed_form(n)) <= 1e-14
+
+
+def test_narrow_patterns_sieve_only_up_to_the_tail(monkeypatch):
+    calls = []
+
+    def record(n):
+        calls.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(selberg, "primes_up_to", record)
+    selberg_constant(Pattern((0, 2, 6, 8, 12)), 10**7)
+    assert calls and max(calls) <= TAIL_START, calls
+
+
+def test_pattern_length_bound(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"primes_up_to({n}) was called")
+
+    monkeypatch.setattr(selberg, "primes_up_to", refuse)
+    pattern = Pattern(tuple(range(0, 2 * (MAX_PATTERN_LENGTH + 1), 2)))
+    assert len(pattern) == 501
+    with pytest.raises(ValueError, match=str(MAX_PATTERN_LENGTH)):
+        selberg_constant(pattern, PRIME_LIMIT)
 
 
 def test_closed_form_examples():
@@ -117,10 +155,13 @@ def test_scaling_counterexample_changes_value():
 
 @pytest.mark.parametrize("offsets", [(0, 2), (0, 2, 6), (0, 4, 6, 10)])
 def test_convergence_within_tail_bound(offsets):
+    # the generic tail is exact, so once the limit covers the offsets the
+    # value stops moving, to the last bit
     low = selberg_constant(Pattern(offsets), 10**5)
-    high = selberg_constant(Pattern(offsets), 2 * 10**5)
-    assert abs(high.value - low.value) < low.tail_bound
-    assert high.tail_bound < low.tail_bound
+    for limit in (10**4, 2 * 10**5, 10**6, 10**7):
+        high = selberg_constant(Pattern(offsets), limit)
+        assert high.value == low.value, limit
+        assert high.tail_bound == low.tail_bound, limit
 
 
 def twin_prime_constant_truncated(prime_limit: int) -> float:
@@ -151,15 +192,33 @@ def test_value_zero_iff_inadmissible():
         assert result.admissible == is_admissible(pattern).admissible
 
 
-def _series_mp(pattern: Pattern, prime_limit: int) -> mpmath.mpf:
-    """The truncated series as a 30-digit mpmath product, one factor per prime."""
+@functools.lru_cache(maxsize=1)
+def _prime_zeta_tail_mp() -> list[mpmath.mpf]:
+    """sum_{p > 1000} p^(-j) for j = 2..64 at 260 digits: the full prime zeta less p <= 1000."""
+    with mpmath.workdps(260):
+        small = [mpmath.mpf(p) for p in primes_up_to(1000).tolist()]
+        return [mpmath.primezeta(j) - mpmath.fsum(p ** -j for p in small) for j in range(2, 65)]
+
+
+def test_prime_zeta_tail_matches_mpmath():
+    assert TAIL_START == 1000 and len(PRIME_ZETA_TAIL) == 63
+    for j, (got, want) in enumerate(zip(PRIME_ZETA_TAIL.tolist(), _prime_zeta_tail_mp()), start=2):
+        assert abs(got - want) <= 1e-15 * want, j
+
+
+def _series_mp(pattern: Pattern) -> mpmath.mpf:
+    """The exact series at 60 digits: nu_p by brute force for p <= 1000, the prime
+    zeta tail for the generic primes above. Needs every distance's prime factors <= 1000."""
     m = len(pattern)
-    with mpmath.workdps(30):
-        total = mpmath.mpf(1)
-        for p in primes_up_to(prime_limit).tolist():
+    tail = _prime_zeta_tail_mp()
+    with mpmath.workdps(60):
+        total = mpmath.mpf(0)
+        for p in primes_up_to(1000).tolist():
             nu = len({h % p for h in pattern.offsets})
-            total *= (1 - mpmath.mpf(nu) / p) / (1 - mpmath.mpf(1) / p) ** m
-        return total
+            total += mpmath.log(1 - mpmath.mpf(nu) / p) - m * mpmath.log(1 - mpmath.mpf(1) / p)
+        for j, tail_j in enumerate(tail, start=2):
+            total += (m - mpmath.mpf(m) ** j) / j * tail_j
+        return mpmath.exp(total)
 
 
 @pytest.mark.parametrize("prime_limit", [10**4, 10**5])
@@ -170,9 +229,26 @@ def test_series_matches_mpmath_product(offsets, prime_limit):
     # every length is summed in log space, so pairs and triples are as
     # accurate as the longer patterns
     pattern = Pattern(offsets)
-    want = _series_mp(pattern, prime_limit)
-    got = selberg_constant(pattern, prime_limit).value
-    assert abs(got - want) <= 1e-15 * want, float(abs(got - want) / want)
+    want = _series_mp(pattern)
+    result = selberg_constant(pattern, prime_limit)
+    assert abs(result.value - want) <= 1e-15 * want, float(abs(result.value - want) / want)
+    assert abs(result.value - want) <= result.tail_bound
+
+
+def test_random_patterns_match_mpmath():
+    from aptuple.patterns import is_admissible
+
+    rng = random.Random(1998)
+    cases = 0
+    while cases < 20:
+        m = rng.randrange(2, 7)
+        pattern = Pattern((0, *rng.sample(range(2, 61, 2), m - 1)))
+        if not is_admissible(pattern).admissible:
+            continue
+        cases += 1
+        want = _series_mp(pattern)
+        result = selberg_constant(pattern, 10**4)
+        assert abs(result.value - want) <= min(1e-13 * want, result.tail_bound), pattern
 
 
 def test_tail_bound_holds_for_wide_patterns():
@@ -231,7 +307,7 @@ def test_offsets_just_past_int64():
 
 
 def _full_array_value(pattern, prime_limit):
-    """S(H) with nu_p worked out for every prime, the product taken in one array."""
+    """S(H) truncated at prime_limit, nu_p worked out for every prime, the product taken in one array."""
     primes = primes_up_to(prime_limit)
     m = len(pattern)
     nu = np.array([len({h % p for h in pattern.offsets}) for p in primes.tolist()])
@@ -241,7 +317,7 @@ def _full_array_value(pattern, prime_limit):
     return math.exp(float(np.sum(np.log1p(-nu / p) - m * np.log1p(-1.0 / p))))
 
 
-def test_cached_generic_product_matches_the_full_array():
+def test_truncated_full_array_within_its_bound():
     from aptuple.patterns import is_admissible
 
     rng = random.Random(5512)
@@ -257,22 +333,24 @@ def test_cached_generic_product_matches_the_full_array():
         cases += 1
         want = _full_array_value(pattern, limit)
         got = selberg_constant(pattern, limit).value
-        assert abs(got - want) <= 1e-12 * want, (pattern, limit)
+        # truncation leaves out generic factors 1 + O(m^2/p^2) and the first-order
+        # excess of primes above the limit that divide a distance
+        bound = m * m / (limit * math.log(limit))
+        bound += selberg._omitted_divisor_excess(pattern, primes_up_to(limit), limit)
+        assert abs(got - want) <= got * math.expm1(bound), (pattern, limit)
 
 
-def test_wide_patterns_skip_the_generic_cache():
-    _generic_product.cache_clear()
+def test_wide_patterns_with_small_prime_distances_are_exact():
+    # 1202 reaches past the limit, but every distance's primes are below it
     pattern = Pattern((0, 2, 6, 1202))
     value = selberg_constant(pattern, 1000).value
-    assert _generic_product.cache_info().currsize == 0
-    assert abs(value - _full_array_value(pattern, 1000)) <= 1e-12 * value
+    assert abs(value - _series_mp(pattern)) <= 1e-12 * value
 
 
 def test_values_do_not_depend_on_call_order():
     patterns = [Pattern(offsets) for offsets in ((0, 2), (0, 2, 6), (0, 4, 6, 10), (0, 2, 6, 8, 12))]
     runs = []
     for limits in ((10**4, 10**5), (10**5, 10**4)):
-        _generic_product.cache_clear()
         values = {}
         for limit in limits:
             for pattern in patterns:
