@@ -43,7 +43,6 @@ _EXPORTS = {
         "SelbergResult",
         "pair_constant_closed_form",
         "selberg_constant",
-        "triple_constant_closed_form",
     ),
     "sieve": ("OmegaTable", "build_omega_table", "load_table", "save_table", "write_omega_table"),
 }

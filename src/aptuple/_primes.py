@@ -1,14 +1,20 @@
 """Small shared prime utilities used across the package.
 
-Everything here is deliberately boring: a cached odd-only sieve for bulk
-prime generation, and trial-division factorization for the small integers
-that appear in pattern offsets and scale factors.
+A cached odd-only sieve for bulk prime generation, and the one factoring
+routine, distinct_prime_factors, for pattern distances, offsets and scale
+factors. It trial-divides by the primes up to TRIAL_LIMIT, then certifies
+each cofactor with Miller-Rabin at the twelve prime bases up to 37, which
+is deterministic below PSI_12 (J. Sorenson and J. Webster, Math. Comp. 86,
+2017), and splits composites with Brent's form of Pollard's rho (R. P.
+Brent, BIT 20, 1980). trial_division_omega stays plain trial division: it
+is the oracle the sieve tables are tested against.
 """
 
 from __future__ import annotations
 
 import functools
-from math import isqrt
+import itertools
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -36,21 +42,82 @@ def _sieve_odd(n: int) -> np.ndarray:
     return primes
 
 
+TRIAL_LIMIT = 1000
+_TRIAL_PRIMES = tuple(_sieve_odd(TRIAL_LIMIT).tolist())
+# The smallest composite that passes Miller-Rabin at every prime base up to 37 (OEIS A014233).
+PSI_12 = 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def distinct_prime_factors(n: int) -> tuple[int, ...]:
-    """Sorted distinct prime factors of n >= 1 by trial division."""
+    """Sorted distinct prime factors of n >= 1.
+
+    Trial division by the primes up to TRIAL_LIMIT leaves a cofactor with
+    no prime factor below it, so a cofactor below TRIAL_LIMIT^2 is prime.
+    Larger ones are certified by _is_prime and split by _rho; a cofactor
+    of PSI_12 or more cannot be certified and raises ValueError.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d = 3 if d == 2 else d + 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    out, rest = [], n
+    for p in _TRIAL_PRIMES:
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            out.append(p)
+            while rest % p == 0:
+                rest //= p
+    pending = [rest] if rest > 1 else []
+    while pending:
+        r = pending.pop()
+        if r >= PSI_12:
+            raise ValueError(f"cannot factor {n}: its cofactor {r} is >= psi_12 = {PSI_12}")
+        if r < TRIAL_LIMIT**2 or _is_prime(r):
+            out.append(r)
+        else:
+            d = _rho(r)
+            pending += [d, r // d]
+    return tuple(sorted(set(out)))
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin at the prime bases up to 37, deterministic for 0 <= n < PSI_12."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of a composite n with no prime factor up to TRIAL_LIMIT.
+
+    Pollard's rho walk y -> y^2 + c mod n with Brent's cycle finding: x
+    stays put while y takes r steps, then jumps to y and r doubles. A walk
+    whose gcd reaches n itself is retried with the next c.
+    """
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(abs(x - y), n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 def trial_division_omega(n: int) -> int:

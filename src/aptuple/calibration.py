@@ -39,11 +39,7 @@ from .patterns import (
     is_admissible,
     scale_pattern,
 )
-from .selberg import (
-    _check_prime_limit,
-    pair_constant_closed_form,
-    selberg_constant,
-)
+from .selberg import pair_constant_closed_form, selberg_constant
 from .sieve import OmegaTable
 
 MIN_THEORETICAL_COUNT = 50.0  # below this Poisson noise swamps sub-percent ratios
@@ -161,7 +157,7 @@ class CalibrationPlan:
 
 
 def plan_calibration(
-    family: PatternFamily, vectors: Sequence[Requirements], x: int, prime_limit: int
+    family: PatternFamily, vectors: Sequence[Requirements], x: int
 ) -> CalibrationPlan:
     """Check a calibration's arguments and evaluate the base pattern's series, once.
 
@@ -170,14 +166,13 @@ def plan_calibration(
     calibrate against. The CLI plans before it builds or loads a table.
     """
     _check_x(x)
-    _check_prime_limit(prime_limit, len(family.base))
     for requirements in vectors:
         _check_length(family.base, requirements)
     if len(family.scales) < 2:
         raise ValueError("need at least two family members for a spread estimate")
 
     # PatternFamily admits only scales that keep every nu_p, so members share this value
-    series = selberg_constant(family.base, prime_limit).value
+    series = selberg_constant(family.base).value
     theoreticals = tuple(predicted_tuple_count(series, req, x) for req in vectors)
     for theoretical in theoreticals:
         if theoretical < MIN_THEORETICAL_COUNT:
@@ -192,7 +187,6 @@ def calibrate_all(
     family: PatternFamily,
     requirement_list: Sequence[Requirements],
     x: int,
-    prime_limit: int = 10**6,
     parity: str = "odd",
     mode: str = "exact",
     workers: int = 1,
@@ -203,7 +197,7 @@ def calibrate_all(
     shared theoretical count uses the base pattern's series value, which
     every member has by the construction of PatternFamily.
     """
-    return plan_calibration(family, requirement_list, x, prime_limit).reports(
+    return plan_calibration(family, requirement_list, x).reports(
         table, parity, mode, workers
     )
 
@@ -213,7 +207,6 @@ def calibrate(
     family: PatternFamily,
     requirements: Requirements,
     x: int,
-    prime_limit: int = 10**6,
     parity: str = "odd",
     mode: str = "exact",
     workers: int = 1,
@@ -221,7 +214,7 @@ def calibrate(
     """Estimate the correction factor for one requirement vector over a family."""
     return calibrate_all(
         table, family, [requirements], x,
-        prime_limit=prime_limit, parity=parity, mode=mode, workers=workers,
+        parity=parity, mode=mode, workers=workers,
     )[0]
 
 
@@ -275,17 +268,16 @@ CORRECTION_TABLES = (
 )
 
 
-def table_plans(x: int, prime_limit: int) -> list[CalibrationPlan]:
+def table_plans(x: int) -> list[CalibrationPlan]:
     """A checked plan for each CORRECTION_TABLES entry, in order; reads no table."""
     presets = family_presets()
-    return [plan_calibration(presets[name], vectors, x, prime_limit)
+    return [plan_calibration(presets[name], vectors, x)
             for name, vectors in CORRECTION_TABLES]
 
 
 def reproduce_tables(
     table: OmegaTable,
     x: int = 10**7,
-    prime_limit: int = 10**6,
     workers: int = 1,
 ) -> list[tuple[list[str], list[list]]]:
     """Recompute the paper's three tables at the given bound, as (header, rows) in order.
@@ -298,17 +290,17 @@ def reproduce_tables(
     {0,2,6} family including the base. The plans are made, and so every
     argument checked, before Table 1 or any scan.
     """
-    return _tables(table, table_plans(x, prime_limit), prime_limit, workers)
+    return _tables(table, table_plans(x), workers)
 
 
 def _tables(
-    table: OmegaTable, plans: Sequence[CalibrationPlan], prime_limit: int, workers: int
+    table: OmegaTable, plans: Sequence[CalibrationPlan], workers: int
 ) -> list[tuple[list[str], list[list]]]:
     """reproduce_tables from plans already made: Table 1, then one scan per plan."""
     tables = [(
         ["n", "selberg_constant", "closed_form"],
         [
-            [n, selberg_constant(Pattern((0, n)), prime_limit).value, pair_constant_closed_form(n)]
+            [n, selberg_constant(Pattern((0, n))).value, pair_constant_closed_form(n)]
             for n in TABLE1_SEPARATIONS
         ],
     )]

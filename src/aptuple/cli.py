@@ -194,12 +194,12 @@ def _cmd_selberg(args) -> int:
     from .selberg import selberg_constant
 
     pattern = Pattern.parse(args.pattern)
-    result = selberg_constant(pattern, args.prime_limit)
+    result = selberg_constant(pattern)
     verdict = is_admissible(pattern)
     _emit_json(
         {
             "pattern": str(pattern),
-            "prime_limit": result.prime_limit,
+            "prime_limit": args.prime_limit,
             "value": result.value,
             "tail_bound": result.tail_bound,
             "admissible": result.admissible,
@@ -217,7 +217,7 @@ def _cmd_predict(args) -> int:
     pattern = Pattern.parse(args.pattern)
     requirements = Requirements.parse(args.k)
     _check_length(pattern, requirements)
-    series = selberg_constant(pattern, args.prime_limit).value
+    series = selberg_constant(pattern).value
     x = float(args.x)
     value = predicted_tuple_count(series, requirements, x, correction=args.correction)
     m = len(pattern)
@@ -287,7 +287,7 @@ def _cmd_calibrate(args) -> int:
         raise ValueError(f"bad --scales {args.scales!r}: {exc}") from exc
     family = PatternFamily(base, scales)
     requirements = Requirements.parse(args.k)
-    plan = plan_calibration(family, [requirements], args.x, args.prime_limit)  # before the table
+    plan = plan_calibration(family, [requirements], args.x)  # before the table
     table, cache = _require_table(args, args.x, family.members)
     [report] = plan.reports(table, args.parity, args.mode, args.workers)
     members = [
@@ -327,9 +327,9 @@ def _cmd_calibrate(args) -> int:
 def _cmd_tables(args) -> int:
     from .calibration import _tables, table_plans
 
-    plans = table_plans(args.x, args.prime_limit)  # before the table
+    plans = table_plans(args.x)  # before the table
     table, cache = _require_table(args, args.x, [m for plan in plans for m in plan.family.members])
-    tables = _tables(table, plans, args.prime_limit, args.workers)
+    tables = _tables(table, plans, args.workers)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [out_dir / f"table{i}.csv" for i in range(1, len(tables) + 1)]
@@ -367,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selberg", help="singular-series value with its error bound")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--prime-limit", type=_parse_bound, default=10**6)
     p.set_defaults(func=_cmd_selberg)
 
     p = sub.add_parser("predict", help="theoretical tuple count")
@@ -375,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True)
     p.add_argument("--x", type=_parse_bound, required=True)
     p.add_argument("--correction", type=_parse_finite, default=1.0)
-    p.add_argument("--prime-limit", type=_parse_bound, default=10**6)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("count", help="census a tuple pattern against the table")
@@ -393,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scales", required=True, help="comma-separated scale factors, e.g. 2,4,8")
     p.add_argument("--k", required=True)
     p.add_argument("--x", type=_parse_bound, required=True)
-    p.add_argument("--prime-limit", type=_parse_bound, default=10**6)
     p.add_argument("--mode", choices=["exact", "atmost"], default="exact")
     p.add_argument("--parity", choices=["odd", "all"], default="odd")
     p.add_argument("--csv", action="store_true")
@@ -403,10 +400,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="write the three summary tables as CSV")
     p.add_argument("--x", type=_parse_bound, default=10**7)
     p.add_argument("--out", required=True)
-    p.add_argument("--prime-limit", type=_parse_bound, default=10**6)
     add_cache_flags(p)
     p.set_defaults(func=_cmd_tables)
 
+    for name in ("selberg", "predict", "calibrate", "tables"):
+        sub.choices[name].add_argument("--prime-limit", type=_parse_bound, default=10**6,
+                                       help="no effect: the series is exact; kept for old scripts")
     return parser
 
 

@@ -10,11 +10,11 @@ p > m that divides no distance h_j - h_i has nu_p = m, the generic value,
 so S(H) is the generic product G(m) = prod_{p > m} (1 - m/p)(1 - 1/p)^(-m)
 times the factors that differ from it: every prime p <= m, and each prime
 p > m dividing a distance, whose factor exceeds the generic one by
-(p - nu_p)/(p - m). Only primes up to the largest offset can divide a
-distance, and only those up to prime_limit are examined, so for patterns
-with h_max <= prime_limit the value is exact to rounding and does not
-depend on prime_limit. A wider pattern reads its primes above the limit
-as generic, and tail_bound covers those that divide a distance.
+(p - nu_p)/(p - m). Those primes are found by factoring the distinct
+distances with _primes.distinct_prime_factors, so no prime bound enters:
+the value is exact to rounding, and tail_bound bounds the rounding alone,
+for every pattern whose distances, stripped of their primes up to 1000,
+stay below PSI_12 (about 3.2e23): every pattern of offsets below 2^63.
 
 G(m) is exact too. Past TAIL_START every generic log factor is the power
 series log((1 - m/p)(1 - 1/p)^(-m)) = sum_{j >= 2} (m - m^j)/j * p^(-j),
@@ -33,18 +33,17 @@ constant C2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._primes import primes_up_to, distinct_prime_factors
+from ._primes import distinct_prime_factors, primes_up_to
 from .patterns import Pattern, _int_array, _residue_counts
 
 # Twin-prime constant prod_{p>2} (1 - 1/(p-1)^2), 17 digits.
 TWIN_PRIME_C2 = 0.66016181584686957
 
-# Largest prime_limit accepted: a pattern wider than 1e9 sieves to it, near 0.9 GB of RSS.
-PRIME_LIMIT_BOUND = 10**9
 # Longest pattern accepted: m/p < 1/2 past TAIL_START keeps the 64-term series complete.
 MAX_PATTERN_LENGTH = 500
 TAIL_START = 1000
@@ -76,63 +75,12 @@ class SelbergResult:
     """Singular-series value with error accounting.
 
     value is exactly 0 when some factor vanishes (inadmissible pattern);
-    prime_limit is the bound up to which residue counts were read;
-    tail_bound is a conservative absolute bound on the error, from rounding
-    and, for offsets past prime_limit, from the primes above it that divide
-    a distance.
+    tail_bound is a conservative absolute bound on its rounding error.
     """
 
     value: float
-    prime_limit: int
     tail_bound: float
     admissible: bool
-
-
-def _omitted_divisor_excess(pattern: Pattern, primes: np.ndarray, prime_bound: int) -> float:
-    """Bound on sum_{p > P} (m - nu_p) / (p - m) over primes dividing a distance.
-
-    An omitted prime p that divides some distance h_j - h_i has nu_p < m,
-    so its factor exceeds the generic one by (1 - nu_p/p) / (1 - m/p) =
-    1 + (m - nu_p)/(p - m): first order, not second. Since m - nu_p is at
-    most the number of distances p divides, summing 1/(p - m) over the
-    prime factors p > P of every distance bounds the log of the excess.
-    Each distance is stripped of its primes <= P; a cofactor r below
-    (P + 1)^2 is itself the one prime left, a larger one has at most
-    log(r) / log(P + 1) prime factors, each at least P + 1.
-    """
-    m = len(pattern)
-    if pattern.max_offset <= prime_bound:
-        return 0.0  # no distance has a prime factor above P
-    total = 0.0
-    for i, hi in enumerate(pattern.offsets):
-        for hj in pattern.offsets[i + 1 :]:
-            r = hj - hi
-            for p in primes[_int_array((r,)) % primes == 0].tolist():
-                while r % p == 0:
-                    r //= p
-            if r == 1:
-                continue
-            if r < (prime_bound + 1) ** 2:
-                total += 1.0 / (r - m)
-            else:
-                count = 0
-                power = prime_bound + 1
-                while power <= r:
-                    count += 1
-                    power *= prime_bound + 1
-                total += count / (prime_bound + 1 - m)
-    return total
-
-
-def _check_prime_limit(prime_limit: int, m: int = 0) -> None:
-    """Reject a pattern too long for the generic series, or a prime bound below
-    its length m or whose primes would not fit in memory."""
-    if m > MAX_PATTERN_LENGTH:
-        raise ValueError(f"pattern length {m} exceeds the bound {MAX_PATTERN_LENGTH}")
-    if prime_limit < m:
-        raise ValueError(f"prime_limit {prime_limit} must be >= pattern length {m}")
-    if prime_limit > PRIME_LIMIT_BOUND:
-        raise ValueError(f"prime_limit {prime_limit} exceeds the bound {PRIME_LIMIT_BOUND}")
 
 
 def _factors(nu, p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,21 +106,22 @@ def _generic_tail(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([logs, series]), np.concatenate([weights, np.abs(series)])
 
 
-def selberg_constant(pattern: Pattern, prime_limit: int = 10**6) -> SelbergResult:
-    """Evaluate S(H), reading residue counts directly for primes p <= prime_limit.
+def selberg_constant(pattern: Pattern, _unused=None) -> SelbergResult:
+    """Evaluate S(H) exactly, to rounding.
 
-    Primes up to min(max(m, h_max), prime_limit) get their residue count
-    computed directly, all in one vectorized pass. Those up to m enter
-    with their full factor, those above m only where they divide a
-    distance, as log1p((m - nu_p)/(p - m)); the generic product G(m)
-    supplies the rest. The log terms are summed with math.fsum and
-    exponentiated once.
+    Residue counts are read in one vectorized pass at the primes up to m
+    and at the primes above m that divide a distance, found by factoring
+    the distinct distances with distinct_prime_factors; a distance it
+    cannot factor raises ValueError. Primes up to m enter with their full
+    factor, those above m as log1p((m - nu_p)/(p - m)); the generic
+    product G(m) supplies the rest. The log terms are summed with
+    math.fsum and exponentiated once; a sum past the double range raises
+    ValueError. The second parameter is accepted and ignored, for callers
+    that still pass the prime limit of earlier versions.
 
-    tail_bound = value * expm1(E + R). E is _omitted_divisor_excess, the
-    bound on the log of the factors that primes above prime_limit dividing
-    a distance would add (0 when h_max <= prime_limit). R bounds the
-    rounding error of log(value). With u = 2^-53, a log1p argument x is
-    rounded by u|x|, which log1p turns into at most u|x|/(1 + x). Since
+    tail_bound = value * expm1(R), where R bounds the rounding error of
+    log(value). With u = 2^-53, a log1p argument x is rounded by u|x|,
+    which log1p turns into at most u|x|/(1 + x). Since
     |log1p(x)| <= |x|/(1 + x), log1p's own ulp adds at most twice that,
     and the product by m and the difference once. So each factor errs by at
     most 5u times its weight from _factors, each excess term log1p(y) by
@@ -180,30 +129,34 @@ def selberg_constant(pattern: Pattern, prime_limit: int = 10**6) -> SelbergResul
     its size: 5u W in all, with W the sum of these weights. fsum rounds the
     sum T once, within u|T|, and exp adds at most 2u relative. So
     R = 8u (W + |T| + 1) covers them all with room for second-order
-    terms. The exact S lies within a factor e^(E + R) of value on either
-    side, so |S - value| <= value * expm1(E + R).
+    terms. The exact S lies within a factor e^R of value on either side,
+    so |S - value| <= value * expm1(R).
     """
     m = len(pattern)
-    _check_prime_limit(prime_limit, m)
+    if m > MAX_PATTERN_LENGTH:
+        raise ValueError(f"pattern length {m} exceeds the bound {MAX_PATTERN_LENGTH}")
     if m == 1:
         # every factor is (1 - 1/p)(1 - 1/p)^(-1) = 1
-        return SelbergResult(1.0, prime_limit, 0.0, admissible=True)
+        return SelbergResult(1.0, 0.0, admissible=True)
 
-    direct = primes_up_to(min(max(m, pattern.max_offset), prime_limit))
+    offsets = pattern.offsets
+    distances = {b - a for i, a in enumerate(offsets) for b in offsets[i + 1 :]}
+    dividing = {p for d in distances for p in distinct_prime_factors(d) if p > m}
+    direct = _int_array((*primes_up_to(m).tolist(), *sorted(dividing)))
     nu = _residue_counts(pattern, direct)
     if np.any(nu == direct):
-        return SelbergResult(0.0, prime_limit, 0.0, admissible=False)
+        return SelbergResult(0.0, 0.0, admissible=False)
 
     p = direct.astype(np.float64)
     small = direct <= m
-    dividing = ~small & (nu < m)
-    excess = (m - nu[dividing]) / (p[dividing] - m)
+    excess = (m - nu[~small]) / (p[~small] - m)
     terms = [_factors(nu[small], p[small], m), (np.log1p(excess), excess), _generic_tail(m)]
     total = math.fsum(np.concatenate([logs for logs, _ in terms]))
+    if total > math.log(sys.float_info.max):
+        raise ValueError(f"S(H) overflows a double for a pattern of length {m}: log S = {total:.2f}")
     value = math.exp(total)
     rounding = math.ldexp(sum(float(np.sum(w)) for _, w in terms) + abs(total) + 1.0, -50)
-    omitted = _omitted_divisor_excess(pattern, direct, prime_limit)
-    return SelbergResult(value, prime_limit, value * math.expm1(omitted + rounding), admissible=True)
+    return SelbergResult(value, value * math.expm1(rounding), admissible=True)
 
 
 def pair_constant_closed_form(n: int) -> float:
@@ -215,13 +168,3 @@ def pair_constant_closed_form(n: int) -> float:
         if p > 2:
             value *= (p - 1) / (p - 2)
     return value
-
-
-def triple_constant_closed_form(prime_limit: int = 10**6) -> float:
-    """S({0,2,6}) = 9/2 * prod_{p >= 5} (1 - (3p-1)/(p-1)^3), truncated."""
-    _check_prime_limit(prime_limit)
-    primes = primes_up_to(prime_limit).astype(np.float64)
-    primes = primes[primes >= 5]
-    log_total = float(np.sum(np.log1p(-(3.0 * primes - 1.0) / (primes - 1.0) ** 3)))
-    return 4.5 * math.exp(log_total)
-

@@ -105,7 +105,7 @@ def test_calibrate_all_equals_repeated_calibrate(table_big, parity):
     vectors = [Requirements(d) for d in ((1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 2, 3))]
     reports = calibrate_all(table_big, family, vectors, X7, parity=parity)
     assert reports == [calibrate(table_big, family, v, X7, parity=parity) for v in vectors]
-    assert reports == plan_calibration(family, vectors, X7, 10**6).reports(table_big, parity=parity)
+    assert reports == plan_calibration(family, vectors, X7).reports(table_big, parity=parity)
 
 
 def test_calibrate_all_rejects_any_unreliable_vector(table_small):
@@ -139,15 +139,13 @@ def test_permutation_agreement_within_spread(table_big):
     assert abs(a.mean - b.mean) < 3 * (a.std_dev + b.std_dev)
 
 
-@pytest.mark.parametrize("base, demands, x, prime_limit, message", [
-    ((0, 2), [(1, 1)], 0, 10**4, "need x >= 100"),
-    ((0, 2), [(1, 1)], -5, 10**4, "need x >= 100"),
-    ((0, 2), [(1, 1)], 10**4, 1, "pattern length 2"),
-    ((0, 2, 6), [(1, 1, 1)], 10**4, 2, "pattern length 3"),
-    ((0, 2), [(1, 1), (1, 1, 1)], 1000, 10**4, "requirements length 3"),
+@pytest.mark.parametrize("base, demands, x, message", [
+    ((0, 2), [(1, 1)], 0, "need x >= 100"),
+    ((0, 2), [(1, 1)], -5, "need x >= 100"),
+    ((0, 2), [(1, 1), (1, 1, 1)], 1000, "requirements length 3"),
 ])
 def test_calibrate_all_checks_arguments_before_any_work(table_small, monkeypatch,
-                                                        base, demands, x, prime_limit, message):
+                                                        base, demands, x, message):
     from aptuple import calibration
 
     def refuse(*args, **kwargs):
@@ -157,8 +155,7 @@ def test_calibrate_all_checks_arguments_before_any_work(table_small, monkeypatch
     monkeypatch.setattr(calibration, "count_patterns", refuse)
     family = PatternFamily(Pattern(base), (1, 2))
     with pytest.raises(ValueError, match=message) as info:
-        calibrate_all(table_small, family, [Requirements(d) for d in demands], x,
-                      prime_limit=prime_limit)
+        calibrate_all(table_small, family, [Requirements(d) for d in demands], x)
     assert type(info.value) is ValueError
 
 

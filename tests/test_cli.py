@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import aptuple as ap
 from aptuple import cli, sieve
+from aptuple._primes import primes_up_to
 from aptuple.sieve import LIMIT_BOUND, load_table
 
 
@@ -43,6 +44,24 @@ def test_selberg_value(capsys):
     assert abs(doc["value"] - 1.3203236) < 1e-6
     assert doc["admissible"] is True
     assert doc["tail_bound"] > 0
+    assert doc["prime_limit"] == 10**6  # echoes the flag, which has no effect
+
+
+def primes_above_500(m: int) -> str:
+    """The m smallest primes above 500: an admissible pattern for m <= 501."""
+    return ",".join(map(str, [p for p in primes_up_to(5000).tolist() if p > 500][:m]))
+
+
+@pytest.mark.parametrize("argv", [
+    # length 420 puts the series at e^738, past the double range
+    ["selberg", "--pattern", primes_above_500(420)],
+    ["predict", "--pattern", primes_above_500(420), "--k", ",".join(["1"] * 420), "--x", "1e9"],
+])
+def test_series_past_the_double_range_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "ValueError" and "length 420" in doc["message"]
 
 
 def test_predict(capsys):
@@ -455,19 +474,21 @@ def test_sieve_streams_the_saved_bytes(capsys, tmp_path, workers):
     ["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1", "--x", "1e4", "--cache", "cache"],
     ["tables", "--x", "1e4", "--cache", "cache", "--out", "out"],
 ])
-def test_huge_prime_limit_exits_1_before_any_work(capsys, tmp_path, monkeypatch, argv):
+def test_huge_prime_limit_is_accepted_and_sieves_no_prime_past_1000(capsys, tmp_path,
+                                                                       monkeypatch, argv):
     from aptuple import selberg
 
-    def refuse(n):
-        raise AssertionError(f"primes_up_to({n}) was called")
+    calls = []
 
-    monkeypatch.setattr(selberg, "primes_up_to", refuse)
+    def record(n):
+        calls.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(selberg, "primes_up_to", record)
     monkeypatch.chdir(tmp_path)
-    code, out, err = run_cli(capsys, *argv, "--prime-limit", "1e10")
-    assert code == 1 and out == ""
-    doc = json.loads(err)
-    assert doc["error"] == "ValueError" and str(selberg.PRIME_LIMIT_BOUND) in doc["message"]
-    assert not (tmp_path / "cache").exists()
+    code, _, err = run_cli(capsys, *argv, "--prime-limit", "1e10")
+    assert code == 0, err
+    assert calls and max(calls) <= 1000, calls
 
 
 def test_calibrate_rejects_single_offset_base(capsys, tmp_path):
@@ -496,12 +517,14 @@ def test_calibrate_rejects_repeated_scales(capsys, tmp_path):
     (["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1", "--x", "-5"], "need x >= 100"),
     (["tables", "--x", "0", "--out", "out"], "need x >= 100"),
     (["tables", "--x", "-5", "--out", "out"], "need x >= 100"),
-    (["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1", "--x", "1e4",
-      "--prime-limit", "1"], "pattern length 2"),
-    (["calibrate", "--base", "0,2,6", "--scales", "1,2", "--k", "1,1,1", "--x", "1e4",
-      "--prime-limit", "2"], "pattern length 3"),
-    (["tables", "--x", "1e4", "--out", "out", "--prime-limit", "1"], "pattern length 2"),
-    (["tables", "--x", "1e4", "--out", "out", "--prime-limit", "2"], "pattern length 3"),
+    (["calibrate", "--base", primes_above_500(501), "--scales", "1,2",
+      "--k", ",".join(["1"] * 501), "--x", "1e4"], "pattern length 501 exceeds the bound 500"),
+    (["calibrate", "--base", "0,2,4", "--scales", "1,2", "--k", "1,1,1", "--x", "1e4"],
+     "base pattern 0,2,4 is inadmissible"),
+    (["calibrate", "--base", "0,2", "--scales", "1,3", "--k", "1,1", "--x", "1e4"],
+     "scale 3 introduces primes [3]"),
+    (["calibrate", "--base", "0,2", "--scales", "0,2", "--k", "1,1", "--x", "1e4"],
+     "scales must be >= 1"),
     # once misreported as a theoretical count below 50, after the cache was built
     (["calibrate", "--base", "0,2", "--scales", "1,2", "--k", "1,1,1", "--x", "1000"],
      "requirements length 3"),

@@ -1,6 +1,8 @@
 import functools
 import math
 import random
+import statistics
+import time
 
 import mpmath
 import numpy as np
@@ -12,70 +14,65 @@ from aptuple.calibration import reproduce_tables
 from aptuple.patterns import Pattern, scale_pattern
 from aptuple.selberg import (
     MAX_PATTERN_LENGTH,
-    PRIME_LIMIT_BOUND,
     PRIME_ZETA_TAIL,
     TAIL_START,
     TWIN_PRIME_C2,
     pair_constant_closed_form,
     selberg_constant,
-    triple_constant_closed_form,
 )
 
-PRIME_LIMIT = 10**6
+# 1000003, 2^31 - 1 and 2^61 - 1 are prime
+LARGE_PRIMES = (1000003, 2**31 - 1, 2**61 - 1)
+
+
+def within_ulps(got: float, want, ulps: int = 2) -> bool:
+    return abs(got - want) <= ulps * math.ulp(float(want))
 
 
 def test_pair_constant():
-    result = selberg_constant(Pattern((0, 2)), PRIME_LIMIT)
+    result = selberg_constant(Pattern((0, 2)))
     assert result.admissible
     assert abs(result.value - 1.3203236) < 1e-6
 
 
 def test_triple_constant():
-    result = selberg_constant(Pattern((0, 2, 6)), PRIME_LIMIT)
+    result = selberg_constant(Pattern((0, 2, 6)))
     assert abs(result.value - 2.858) < 2e-3
-    # the displayed product over p >= 5 is the same number
-    assert abs(triple_constant_closed_form() - result.value) < 1e-4
-
-
-def test_triple_closed_form_single_factor():
-    # truncating at p = 5 leaves (9/2)(1 - 14/64)
-    assert triple_constant_closed_form(prime_limit=5) == 4.5 * (1 - 14 / 64)
 
 
 def test_inadmissible_vanishes():
-    result = selberg_constant(Pattern((0, 2, 4, 6, 8)), PRIME_LIMIT)
+    result = selberg_constant(Pattern((0, 2, 4, 6, 8)))
     assert result.value == 0.0
     assert not result.admissible
     assert result.tail_bound == 0.0
 
 
 def test_single_offset_is_exactly_one():
-    assert selberg_constant(Pattern((0,)), PRIME_LIMIT).value == 1.0
+    assert selberg_constant(Pattern((0,))).value == 1.0
     assert selberg_constant(Pattern((0,)), 1).value == 1.0
 
 
-def test_prime_limit_too_small():
-    with pytest.raises(ValueError):
-        selberg_constant(Pattern((0, 2, 6)), 2)
-
-
-def test_prime_limit_field_is_the_argument():
-    assert selberg_constant(Pattern((0, 2)), 10).prime_limit == 10
-    assert selberg_constant(Pattern((0,)), 10).prime_limit == 10
-
-
 def test_twin_pair_is_twice_the_twin_prime_constant():
-    assert abs(selberg_constant(Pattern((0, 2)), PRIME_LIMIT).value - 2 * TWIN_PRIME_C2) <= 1e-14
+    assert abs(selberg_constant(Pattern((0, 2))).value - 2 * TWIN_PRIME_C2) <= 1e-14
 
 
 def test_pair_with_a_large_prime_inside_the_limit():
-    # 1000003 divides the distance and lies below the limit, so its factor is read directly
+    # 1000003 divides the distance, so its factor is read directly
     n = 2 * 1000003
-    result = selberg_constant(Pattern((0, n)), 10**7)
+    result = selberg_constant(Pattern((0, n)))
     assert abs(result.value - pair_constant_closed_form(n)) <= 1e-14
 
 
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_pairs_with_a_large_prime_match_the_closed_form(p):
+    result = selberg_constant(Pattern((0, 2 * p)))
+    want = pair_constant_closed_form(2 * p)
+    assert within_ulps(result.value, want), (result.value, want)
+    assert abs(result.value - want) <= result.tail_bound
+
+
 def test_narrow_patterns_sieve_only_up_to_the_tail(monkeypatch):
+    # the distances are factored, so no pattern, however wide, sieves past TAIL_START
     calls = []
 
     def record(n):
@@ -83,8 +80,15 @@ def test_narrow_patterns_sieve_only_up_to_the_tail(monkeypatch):
         return primes_up_to(n)
 
     monkeypatch.setattr(selberg, "primes_up_to", record)
-    selberg_constant(Pattern((0, 2, 6, 8, 12)), 10**7)
-    assert calls and max(calls) <= TAIL_START, calls
+    for offsets in ((0, 2, 6, 8, 12), (0, 2000006), (0, 2**40), (0, 2**62, 2**62 + 6)):
+        calls.clear()
+        times = []
+        for _ in range(5):
+            started = time.perf_counter()
+            selberg_constant(Pattern(offsets), 10**7)
+            times.append(time.perf_counter() - started)
+        assert calls and max(calls) <= TAIL_START, (offsets, calls)
+        assert statistics.median(times) < 5e-3, (offsets, times)
 
 
 def test_pattern_length_bound(monkeypatch):
@@ -95,7 +99,7 @@ def test_pattern_length_bound(monkeypatch):
     pattern = Pattern(tuple(range(0, 2 * (MAX_PATTERN_LENGTH + 1), 2)))
     assert len(pattern) == 501
     with pytest.raises(ValueError, match=str(MAX_PATTERN_LENGTH)):
-        selberg_constant(pattern, PRIME_LIMIT)
+        selberg_constant(pattern)
 
 
 def test_closed_form_examples():
@@ -114,7 +118,7 @@ def test_closed_form_matches_truncation():
     separations += [2 * rng.randrange(501, 5001) for _ in range(300)]
     for n in separations:
         closed = pair_constant_closed_form(n)
-        truncated = selberg_constant(Pattern((0, n)), PRIME_LIMIT).value
+        truncated = selberg_constant(Pattern((0, n))).value
         assert abs(closed - truncated) < 1e-5, n
 
 
@@ -141,27 +145,27 @@ def test_scaling_invariance():
         c = 1
         for p in support:
             c *= p ** rng.randrange(0, 3)
-        base = selberg_constant(pattern, 10**5)
-        scaled = selberg_constant(scale_pattern(pattern, c), 10**5)
+        base = selberg_constant(pattern)
+        scaled = selberg_constant(scale_pattern(pattern, c))
         assert abs(base.value - scaled.value) < 1e-9
 
 
 def test_scaling_counterexample_changes_value():
     # 5 is not in the distance support of {0,6,12}: nu_5 drops from 3 to 1
-    base = selberg_constant(Pattern((0, 6, 12)), PRIME_LIMIT).value
-    scaled = selberg_constant(Pattern((0, 30, 60)), PRIME_LIMIT).value
+    base = selberg_constant(Pattern((0, 6, 12))).value
+    scaled = selberg_constant(Pattern((0, 30, 60))).value
     assert abs(base - scaled) > 0.1
 
 
 @pytest.mark.parametrize("offsets", [(0, 2), (0, 2, 6), (0, 4, 6, 10)])
 def test_convergence_within_tail_bound(offsets):
-    # the generic tail is exact, so once the limit covers the offsets the
-    # value stops moving, to the last bit
-    low = selberg_constant(Pattern(offsets), 10**5)
-    for limit in (10**4, 2 * 10**5, 10**6, 10**7):
+    # the series is exact, so a prime limit an older caller passes changes
+    # nothing, to the last bit
+    exact = selberg_constant(Pattern(offsets))
+    for limit in (1, 10**4, 2 * 10**5, 10**6, 10**7, 10**10):
         high = selberg_constant(Pattern(offsets), limit)
-        assert high.value == low.value, limit
-        assert high.tail_bound == low.tail_bound, limit
+        assert high.value == exact.value, limit
+        assert high.tail_bound == exact.tail_bound, limit
 
 
 def twin_prime_constant_truncated(prime_limit: int) -> float:
@@ -174,7 +178,7 @@ def twin_prime_constant_truncated(prime_limit: int) -> float:
 def test_twin_prime_constant_dual_route():
     reference = float(mpmath.mp.mpf(mpmath.twinprime))
     assert abs(TWIN_PRIME_C2 - reference) < 1e-12
-    truncated = twin_prime_constant_truncated(PRIME_LIMIT)
+    truncated = twin_prime_constant_truncated(10**6)
     # truncation converges from above like 1/(P log P)
     assert 0 < truncated - TWIN_PRIME_C2 < 1e-7
 
@@ -187,7 +191,7 @@ def test_value_zero_iff_inadmissible():
         m = rng.randrange(1, 7)
         offsets = tuple(sorted({0} | {rng.randrange(1, 40) for _ in range(m - 1)}))
         pattern = Pattern(offsets)
-        result = selberg_constant(pattern, 10**4)
+        result = selberg_constant(pattern)
         assert (result.value == 0.0) == (not is_admissible(pattern).admissible)
         assert result.admissible == is_admissible(pattern).admissible
 
@@ -206,31 +210,50 @@ def test_prime_zeta_tail_matches_mpmath():
         assert abs(got - want) <= 1e-15 * want, j
 
 
+def _trial_division_primes(n: int) -> set[int]:
+    """Distinct prime factors of n by plain trial division."""
+    found, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            found.add(d)
+            n //= d
+        d += 1
+    return found | ({n} if n > 1 else set())
+
+
 def _series_mp(pattern: Pattern) -> mpmath.mpf:
     """The exact series at 60 digits: nu_p by brute force for p <= 1000, the prime
-    zeta tail for the generic primes above. Needs every distance's prime factors <= 1000."""
+    zeta tail for the generic primes above, and for each prime above 1000 that
+    divides a distance, found by trial division, its factor in place of the
+    generic one."""
     m = len(pattern)
     tail = _prime_zeta_tail_mp()
+    offsets = pattern.offsets
+    distances = {b - a for i, a in enumerate(offsets) for b in offsets[i + 1 :]}
+    large = {p for d in distances for p in _trial_division_primes(d) if p > 1000}
     with mpmath.workdps(60):
         total = mpmath.mpf(0)
         for p in primes_up_to(1000).tolist():
-            nu = len({h % p for h in pattern.offsets})
+            nu = len({h % p for h in offsets})
             total += mpmath.log(1 - mpmath.mpf(nu) / p) - m * mpmath.log(1 - mpmath.mpf(1) / p)
         for j, tail_j in enumerate(tail, start=2):
             total += (m - mpmath.mpf(m) ** j) / j * tail_j
+        for p in large:
+            nu = len({h % p for h in offsets})
+            total += mpmath.log(1 - mpmath.mpf(nu) / p) - mpmath.log(1 - mpmath.mpf(m) / p)
         return mpmath.exp(total)
 
 
-@pytest.mark.parametrize("prime_limit", [10**4, 10**5])
+@pytest.mark.parametrize("ignored_limit", [10**4, 10**5])
 @pytest.mark.parametrize(
     "offsets", [(0, 2), (0, 2, 6), (0, 4, 6, 10), (0, 2, 6, 8, 12), (0, 4, 6, 10, 12, 16)]
 )
-def test_series_matches_mpmath_product(offsets, prime_limit):
+def test_series_matches_mpmath_product(offsets, ignored_limit):
     # every length is summed in log space, so pairs and triples are as
     # accurate as the longer patterns
     pattern = Pattern(offsets)
     want = _series_mp(pattern)
-    result = selberg_constant(pattern, prime_limit)
+    result = selberg_constant(pattern, ignored_limit)
     assert abs(result.value - want) <= 1e-15 * want, float(abs(result.value - want) / want)
     assert abs(result.value - want) <= result.tail_bound
 
@@ -247,103 +270,129 @@ def test_random_patterns_match_mpmath():
             continue
         cases += 1
         want = _series_mp(pattern)
-        result = selberg_constant(pattern, 10**4)
+        result = selberg_constant(pattern)
         assert abs(result.value - want) <= min(1e-13 * want, result.tail_bound), pattern
 
 
+def test_patterns_with_a_large_distance_prime_match_mpmath():
+    # one offset sits 2q past another, so the prime q in (1000, 1e7) divides a distance
+    from aptuple.patterns import is_admissible
+
+    rng = random.Random(10**7)
+    primes = primes_up_to(10**7)
+    primes = primes[primes > 1000].tolist()
+    cases = 0
+    while cases < 40:
+        m = rng.randrange(2, 9)
+        near = rng.sample(range(2, 121, 2), m - 2)
+        q = rng.choice(primes)
+        pattern = Pattern((0, *near, rng.choice([0, *near]) + 2 * q))
+        if len(pattern) != m or not is_admissible(pattern).admissible:
+            continue
+        cases += 1
+        want = _series_mp(pattern)
+        result = selberg_constant(pattern)
+        assert abs(result.value - want) <= min(1e-13 * want, result.tail_bound), (pattern, q)
+
+
 def test_tail_bound_holds_for_wide_patterns():
-    # distances with a prime factor above the prime limit make that prime's
-    # omitted factor first order; the bound must still cover the error
+    # distances with a prime factor above 1e4 are read exactly: pairs within
+    # 2 ulps of the 60-digit series, triples within 1e-15, all within the
+    # rounding bound
     rng = random.Random(2000006)
     limit = 10**4
     primes = [int(p) for p in primes_up_to(10 * limit) if p > limit]
     for _ in range(40):
         n = 2 * rng.choice(primes) * rng.choice([1, 1, 3, 5])
-        result = selberg_constant(Pattern((0, n)), limit)
-        assert abs(result.value - pair_constant_closed_form(n)) <= result.tail_bound, n
+        result = selberg_constant(Pattern((0, n)))
+        want = _series_mp(Pattern((0, n)))
+        assert within_ulps(result.value, want), n
+        assert abs(result.value - want) <= result.tail_bound, n
     for _ in range(40):
         a = 2 * rng.choice(primes)
         b = a + 2 * rng.choice([1, 2, 3]) * rng.choice(primes)
         pattern = Pattern((0, a, b))
-        result = selberg_constant(pattern, limit)
-        finer = selberg_constant(pattern, 10 * limit)
-        assert result.admissible == finer.admissible
-        assert abs(result.value - finer.value) <= result.tail_bound, pattern
+        result = selberg_constant(pattern)
+        want = _series_mp(pattern)
+        assert abs(result.value - want) <= min(1e-15 * want, result.tail_bound), pattern
 
 
 def test_tail_bound_for_a_distance_with_a_large_prime():
-    # 2000006 = 2 * 1000003, a prime above the default limit
-    result = selberg_constant(Pattern((0, 2000006)), PRIME_LIMIT)
-    error = abs(result.value - pair_constant_closed_form(2000006))
-    assert error > 1e-6
-    assert error <= result.tail_bound < 2 * error
+    # 2000006 = 2 * 1000003, and 1000003 is prime
+    result = selberg_constant(Pattern((0, 2000006)))
+    want = pair_constant_closed_form(2000006)
+    assert within_ulps(result.value, want)
+    assert abs(result.value - want) <= result.tail_bound
 
 
-@pytest.mark.parametrize("n, limit", [
+@pytest.mark.parametrize("n, ignored_limit", [
     (2 * 1009 * 1013, 1000),
     (2 * 101 * 103 * 107, 100),
     (2 * 1009 * 1013 * 1019, 1000),
 ])
-def test_tail_bound_for_a_distance_with_several_large_primes(n, limit):
-    # the distance stripped of its primes <= P is a product of two or more
-    # primes above P, at least (P + 1)^2, so the bound counts its factors
-    result = selberg_constant(Pattern((0, n)), limit)
-    error = abs(selberg_constant(Pattern((0, n)), 4 * 10**6).value - result.value)
-    assert error <= result.tail_bound < 2 * error
+def test_tail_bound_for_a_distance_with_several_large_primes(n, ignored_limit):
+    # every prime of the distance is read, whatever prime limit an older caller passes
+    result = selberg_constant(Pattern((0, n)), ignored_limit)
+    assert result == selberg_constant(Pattern((0, n)))
+    want = _series_mp(Pattern((0, n)))
+    assert within_ulps(result.value, want)
+    assert abs(result.value - want) <= result.tail_bound
 
 
 def test_offsets_beyond_64_bits():
     n = 2 * 10**20 + 2 * 1000003
-    result = selberg_constant(Pattern((0, n)), PRIME_LIMIT)
-    assert abs(result.value - pair_constant_closed_form(n)) <= result.tail_bound
+    result = selberg_constant(Pattern((0, n)))
+    want = pair_constant_closed_form(n)
+    assert within_ulps(result.value, want)
+    assert abs(result.value - want) <= result.tail_bound
 
 
 def test_offsets_just_past_int64():
     # numpy takes the max of (0, 2^63) as a float64 that compares equal to 2^63 - 1
     pattern = Pattern((0, 2**63))
-    result = selberg_constant(pattern, PRIME_LIMIT)
-    assert abs(result.value - pair_constant_closed_form(2**63)) <= result.tail_bound
+    result = selberg_constant(pattern)
+    assert within_ulps(result.value, pair_constant_closed_form(2**63))
     assert result.admissible
 
 
-def _full_array_value(pattern, prime_limit):
-    """S(H) truncated at prime_limit, nu_p worked out for every prime, the product taken in one array."""
-    primes = primes_up_to(prime_limit)
-    m = len(pattern)
-    nu = np.array([len({h % p for h in pattern.offsets}) for p in primes.tolist()])
-    p = primes.astype(np.float64)
-    if m < 4:
-        return float(np.prod((1.0 - nu / p) * (1.0 - 1.0 / p) ** (-m)))
-    return math.exp(float(np.sum(np.log1p(-nu / p) - m * np.log1p(-1.0 / p))))
-
-
 def test_truncated_full_array_within_its_bound():
+    # random patterns up to 6e4 wide, some with distance primes above 1000,
+    # within 1e-15 of the 60-digit series: the logs of the factors at small
+    # primes round by up to 7e-16 (5 ulps), so 2 ulps holds for pairs only
     from aptuple.patterns import is_admissible
 
     rng = random.Random(5512)
     cases = 0
     while cases < 40:
         m = rng.randrange(2, 7)
-        limit = rng.choice([10**3, 10**4, 3 * 10**4])
-        # offsets up to 2 * limit, so some patterns reach past the prime limit
-        width = rng.choice([60, 2 * limit])
+        width = rng.choice([60, 2 * 10**3, 2 * 10**4, 6 * 10**4])
         pattern = Pattern((0, *rng.sample(range(2, width + 1, 2), m - 1)))
         if not is_admissible(pattern).admissible:
             continue
         cases += 1
-        want = _full_array_value(pattern, limit)
-        got = selberg_constant(pattern, limit).value
-        # truncation leaves out generic factors 1 + O(m^2/p^2) and the first-order
-        # excess of primes above the limit that divide a distance
-        bound = m * m / (limit * math.log(limit))
-        bound += selberg._omitted_divisor_excess(pattern, primes_up_to(limit), limit)
-        assert abs(got - want) <= got * math.expm1(bound), (pattern, limit)
+        want = _series_mp(pattern)
+        result = selberg_constant(pattern)
+        assert abs(result.value - want) <= min(1e-15 * want, result.tail_bound), pattern
+
+
+def test_distances_past_psi_12_are_refused():
+    from aptuple._primes import PSI_12
+
+    with pytest.raises(ValueError, match=str(PSI_12)):
+        selberg_constant(Pattern((0, 2 * PSI_12)))
+
+
+def test_values_past_the_double_range_are_refused():
+    # the 420 primes above 500 form an admissible pattern with log S near 738
+    offsets = [p for p in primes_up_to(5000).tolist() if p > 500][:420]
+    with pytest.raises(ValueError, match="length 420"):
+        selberg_constant(Pattern(offsets))
 
 
 def test_wide_patterns_with_small_prime_distances_are_exact():
-    # 1202 reaches past the limit, but every distance's primes are below it
+    # 1202 is wide, but every distance's primes are at most 601
     pattern = Pattern((0, 2, 6, 1202))
-    value = selberg_constant(pattern, 1000).value
+    value = selberg_constant(pattern).value
     assert abs(value - _series_mp(pattern)) <= 1e-12 * value
 
 
@@ -359,15 +408,14 @@ def test_values_do_not_depend_on_call_order():
     assert runs[0] == runs[1]
 
 
-def test_huge_prime_limit_fails_before_sieving(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"primes_up_to({n}) was called")
+def test_huge_prime_limit_is_ignored(monkeypatch):
+    calls = []
 
-    monkeypatch.setattr(selberg, "primes_up_to", refuse)
-    for call in (
-        lambda: selberg_constant(Pattern((0, 2)), PRIME_LIMIT_BOUND + 1),
-        lambda: selberg_constant(Pattern((0, 2)), 10**10),
-        lambda: triple_constant_closed_form(10**10),
-    ):
-        with pytest.raises(ValueError, match=str(PRIME_LIMIT_BOUND)):
-            call()
+    def record(n):
+        calls.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(selberg, "primes_up_to", record)
+    result = selberg_constant(Pattern((0, 2)), 10**10)
+    assert result == selberg_constant(Pattern((0, 2)))
+    assert calls and max(calls) <= TAIL_START, calls

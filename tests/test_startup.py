@@ -28,7 +28,7 @@ EXPORTED = (
     "AdmissibilityVerdict", "Pattern", "Requirements", "distance_gcd_prime_support",
     "is_admissible", "scale_pattern",
     "TWIN_PRIME_C2", "SelbergResult", "pair_constant_closed_form",
-    "selberg_constant", "triple_constant_closed_form",
+    "selberg_constant",
     "OmegaTable", "build_omega_table", "load_table", "save_table", "write_omega_table",
 )
 
