@@ -1,13 +1,13 @@
-"""Small shared prime utilities used across the package.
+"""Small shared prime utilities used across the package, in pure Python.
 
-A cached odd-only sieve for bulk prime generation, and the one factoring
-routine, distinct_prime_factors, for pattern distances, offsets and scale
-factors. It trial-divides by the primes up to TRIAL_LIMIT, then certifies
-each cofactor with Miller-Rabin at the twelve prime bases up to 37, which
-is deterministic below PSI_12 (J. Sorenson and J. Webster, Math. Comp. 86,
-2017), and splits composites with Brent's form of Pollard's rho (R. P.
-Brent, BIT 20, 1980). trial_division_omega stays plain trial division: it
-is the oracle the sieve tables are tested against.
+A cached odd-only bytearray sieve for the primes up to a bound, and the one
+factoring routine, distinct_prime_factors, for pattern distances, offsets
+and scale factors. It trial-divides by the primes up to TRIAL_LIMIT, then
+certifies each cofactor with Miller-Rabin at the twelve prime bases up to
+37, which is deterministic below PSI_12 (J. Sorenson and J. Webster, Math.
+Comp. 86, 2017), and splits composites with Brent's form of Pollard's rho
+(R. P. Brent, BIT 20, 1980). trial_division_omega stays plain trial
+division: it is the oracle the sieve tables are tested against.
 """
 
 from __future__ import annotations
@@ -16,37 +16,29 @@ import functools
 import itertools
 from math import gcd, isqrt
 
-import numpy as np
-
 
 @functools.lru_cache(maxsize=16)
-def primes_up_to(n: int) -> np.ndarray:
-    """Return all primes <= n as a read-only int64 array (cached per bound)."""
-    primes = _sieve_odd(n)
-    primes.flags.writeable = False
-    return primes
+def primes_up_to(n: int) -> tuple[int, ...]:
+    """All primes <= n, ascending (cached per bound).
 
-
-def _sieve_odd(n: int) -> np.ndarray:
-    """Primes <= n, sieving odd numbers only and crossing off base primes only."""
+    Sieves odd numbers only, one byte each, crossing off base primes only.
+    """
     if n < 2:
-        return np.empty(0, dtype=np.int64)
-    odd = np.ones((n + 1) // 2, dtype=bool)  # odd[i] stands for 2i + 1
-    for p in _sieve_odd(isqrt(n))[1:].tolist():
-        odd[p * p // 2 :: p] = False
-    # in place, so at 1e9 only the 500 MB of flags and the 407 MB of primes are live
-    primes = np.flatnonzero(odd).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 1
-    primes[0] = 2  # odd[0] stands for 1, which is never crossed off
-    return primes
+        return ()
+    odd = bytearray([1]) * ((n + 1) // 2)  # odd[i] stands for 2i + 1
+    for i in range(1, (isqrt(n) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            odd[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(odd), p)))
+    return (2, *itertools.compress(range(3, n + 1, 2), odd[1:]))
 
 
 TRIAL_LIMIT = 1000
-_TRIAL_PRIMES = tuple(_sieve_odd(TRIAL_LIMIT).tolist())
+_TRIAL_PRIMES = primes_up_to(TRIAL_LIMIT)
 # The smallest composite that passes Miller-Rabin at every prime base up to 37 (OEIS A014233).
 PSI_12 = 318665857834031151167461
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_RHO_BATCH = 128
 
 
 def distinct_prime_factors(n: int) -> tuple[int, ...]:
@@ -103,8 +95,11 @@ def _rho(n: int) -> int:
     """A proper factor of a composite n with no prime factor up to TRIAL_LIMIT.
 
     Pollard's rho walk y -> y^2 + c mod n with Brent's cycle finding: x
-    stays put while y takes r steps, then jumps to y and r doubles. A walk
-    whose gcd reaches n itself is retried with the next c.
+    stays put while y takes r steps unchecked and r more compared with x,
+    then x jumps to y and r doubles. The differences x - y are multiplied
+    mod n in batches of _RHO_BATCH, one gcd per batch; a batch whose gcd
+    reaches n is replayed one step at a time, and a walk that still
+    reaches n is retried with the next c.
     """
     for c in itertools.count(1):
         y, r, g = 2, 1, 1
@@ -112,10 +107,20 @@ def _rho(n: int) -> int:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
-                g = gcd(abs(x - y), n)
+            for done in range(0, r, _RHO_BATCH):
+                batch_start, q = y, 1
+                for _ in range(min(_RHO_BATCH, r - done)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
                 if g != 1:
                     break
             r *= 2
+        if g == n:
+            y, g = batch_start, 1
+            while g == 1:
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
         if g != n:
             return g
 

@@ -18,13 +18,12 @@ from typing import TYPE_CHECKING
 
 # aptuple never calls BLAS, so a CLI process has no use for the OpenBLAS
 # thread pool that numpy starts on import. This must run before the first
-# import of numpy below; setdefault leaves a value the user set in force.
+# import of numpy, which a command's own imports make; setdefault leaves a
+# value the user set in force.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# Each command imports the layers it runs, so `selberg` or `predict` never
-# loads the census or calibration code; main and the parser need only these.
-from .sieve import DEFAULT_SEGMENT_SIZE, CacheCorruptionError, CacheFormatError  # noqa: E402
-
+# Each command imports the layers it runs, so `admissible`, `selberg` and
+# `predict` load neither numpy nor the sieve, census or calibration code.
 if TYPE_CHECKING:
     from .sieve import OmegaTable
 
@@ -153,13 +152,12 @@ def ensure_table(
 
 
 def _cmd_sieve(args) -> int:
-    from .sieve import HEADER_SIZE, write_omega_table
+    from .sieve import DEFAULT_SEGMENT_SIZE, HEADER_SIZE, write_omega_table
 
     path = Path(args.out) if args.out else _cache_file(args.cache)
+    segment_size = args.segment_size or DEFAULT_SEGMENT_SIZE
     started = time.perf_counter()
-    rename_s = write_omega_table(
-        args.limit, path, segment_size=args.segment_size, workers=args.workers
-    )
+    rename_s = write_omega_table(args.limit, path, segment_size=segment_size, workers=args.workers)
     elapsed = time.perf_counter() - started
     _emit_json(
         {
@@ -355,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sieve", help="build and persist a factor-count table")
     p.add_argument("--limit", type=_parse_bound, required=True)
-    p.add_argument("--segment-size", type=_parse_segment_size, default=DEFAULT_SEGMENT_SIZE,
+    p.add_argument("--segment-size", type=_parse_segment_size, default=None,
                    help="numbers per sieve segment (default: 2^21)")
     p.add_argument("--out", default=None, help="explicit output path (default: cache)")
     add_cache_flags(p)
@@ -409,12 +407,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _cache_errors() -> tuple[type[Exception], ...]:
+    """The sieve's cache errors when it is loaded; only a loaded sieve can raise them."""
+    sieve = sys.modules.get("aptuple.sieve")
+    return (sieve.CacheFormatError, sieve.CacheCorruptionError) if sieve else ()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError, CacheFormatError, CacheCorruptionError) as exc:
+    except (ValueError, OSError, MemoryError, *_cache_errors()) as exc:
         json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
         sys.stderr.write("\n")
         return 1

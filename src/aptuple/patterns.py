@@ -7,16 +7,16 @@ distinct residues nu_p stays below p. Coverage forces nu_p = p <= m, so only
 primes p <= m need checking.
 
 _residue_counts is the one place nu_p is computed: is_admissible reads it
-for the primes p <= m, and the singular series in selberg for the primes
-up to its largest offset.
+for the primes p <= m, and the singular series in selberg for those and
+the primes that divide a distance. Offsets are Python integers throughout,
+so offsets of 2^63 and more need no special case, and the module imports
+no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-
-import numpy as np
 
 from ._primes import distinct_prime_factors, primes_up_to
 
@@ -114,29 +114,9 @@ class AdmissibilityVerdict:
     nu_values: dict[int, int] = field(default_factory=dict)
 
 
-def _int_array(values: tuple[int, ...]) -> np.ndarray:
-    """int64 where the values fit, Python integers (object dtype) where they do not.
-
-    The test compares Python integers: numpy's max of a tuple holding 2^63
-    is a float64, and as floats 2^63 and 2^63 - 1 are equal.
-    """
-    fits = max(values) <= _INT64_MAX
-    return np.asarray(values, dtype=np.int64 if fits else object)
-
-
-def _residue_counts(pattern: Pattern, primes: np.ndarray) -> np.ndarray:
-    """nu_p for each prime: the distinct residues of the offsets mod p.
-
-    One (primes x m) residue array per chunk of primes, sorted along each
-    row, so nu_p is one plus the number of steps between neighbours.
-    """
-    offsets = _int_array(pattern.offsets)
-    nu = np.empty(len(primes), dtype=np.int64)
-    chunk = max(1, (1 << 20) // len(offsets))
-    for lo in range(0, len(primes), chunk):
-        residues = np.sort(offsets % primes[lo : lo + chunk, None], axis=1)
-        nu[lo : lo + chunk] = 1 + np.count_nonzero(np.diff(residues, axis=1), axis=1)
-    return nu
+def _residue_counts(pattern: Pattern, primes) -> list[int]:
+    """nu_p for each prime: the number of distinct residues of the offsets mod p."""
+    return [len({h % p for h in pattern.offsets}) for p in primes]
 
 
 def is_admissible(pattern: Pattern) -> AdmissibilityVerdict:
@@ -149,10 +129,8 @@ def is_admissible(pattern: Pattern) -> AdmissibilityVerdict:
     is reported as the witness, and nu_values carries them all.
     """
     primes = primes_up_to(len(pattern))
-    nu = _residue_counts(pattern, primes)
-    covered = primes[nu == primes]
-    witness = int(covered[-1]) if len(covered) else None
-    nu_values = dict(zip(primes.tolist(), nu.tolist()))
+    nu_values = dict(zip(primes, _residue_counts(pattern, primes)))
+    witness = max((p for p, nu in nu_values.items() if nu == p), default=None)
     return AdmissibilityVerdict(admissible=witness is None, witness=witness, nu_values=nu_values)
 
 

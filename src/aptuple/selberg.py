@@ -15,6 +15,10 @@ distances with _primes.distinct_prime_factors, so no prime bound enters:
 the value is exact to rounding, and tail_bound bounds the rounding alone,
 for every pattern whose distances, stripped of their primes up to 1000,
 stay below PSI_12 (about 3.2e23): every pattern of offsets below 2^63.
+The primes up to m are read first, so an inadmissible pattern returns 0
+before any distance is factored. The evaluation is plain Python floats
+with math.log1p and math.fsum, over the few hundred primes up to
+TAIL_START at most besides the distance primes, so no array code enters.
 
 G(m) is exact too. Past TAIL_START every generic log factor is the power
 series log((1 - m/p)(1 - 1/p)^(-m)) = sum_{j >= 2} (m - m^j)/j * p^(-j),
@@ -36,10 +40,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._primes import distinct_prime_factors, primes_up_to
-from .patterns import Pattern, _int_array, _residue_counts
+from .patterns import Pattern, _residue_counts, is_admissible
 
 # Twin-prime constant prod_{p>2} (1 - 1/(p-1)^2), 17 digits.
 TWIN_PRIME_C2 = 0.66016181584686957
@@ -50,7 +52,7 @@ TAIL_START = 1000
 
 # P(j) = sum_{p > 1000} p^(-j) for j = 2, ..., 64: mpmath.primezeta(j) less the
 # primes up to 1000, at 260 digits, rounded to double.
-PRIME_ZETA_TAIL = np.array([
+PRIME_ZETA_TAIL = (
     0.0001269897917609165, 6.731035853584031e-08, 4.5989513361621654e-11, 3.502178948875813e-14,
     2.833469569598374e-17, 2.3828278392800027e-20, 2.0582708842361325e-23, 1.8131349764718284e-26,
     1.6212315568187997e-29, 1.466734639367853e-32, 1.339522996432001e-35, 1.232826602987239e-38,
@@ -67,7 +69,7 @@ PRIME_ZETA_TAIL = np.array([
     2.5942879476081076e-162, 2.535067780567568e-165, 2.4779101867245786e-168, 2.422710944055366e-171,
     2.369372818882542e-174, 2.3178049855885453e-177, 2.26792250352569e-180, 2.2196458445981395e-183,
     2.172900465837334e-186, 2.127616422015805e-189, 2.083728013964588e-192,
-])
+)
 
 
 @dataclass(frozen=True)
@@ -83,48 +85,48 @@ class SelbergResult:
     admissible: bool
 
 
-def _factors(nu, p: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """log of (1 - nu_p/p)(1 - 1/p)^(-m) per prime p, and its rounding weight.
+def _factor(nu: int, p: int, m: int) -> tuple[float, float]:
+    """log of (1 - nu/p)(1 - 1/p)^(-m) at the prime p, and its rounding weight.
 
-    The weight nu_p/(p - nu_p) + m/(p - 1) is |x|/(1 + x) for the two log1p
-    arguments x = -nu_p/p and -1/p, the second times m; selberg_constant
+    The weight nu/(p - nu) + m/(p - 1) is |x|/(1 + x) for the two log1p
+    arguments x = -nu/p and -1/p, the second times m; selberg_constant
     bounds the rounding with it.
     """
-    return np.log1p(-nu / p) - m * np.log1p(-1.0 / p), nu / (p - nu) + m / (p - 1.0)
+    return math.log1p(-nu / p) - m * math.log1p(-1.0 / p), nu / (p - nu) + m / (p - 1.0)
 
 
-def _generic_tail(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """log terms of G(m) = prod_{p > m} (1 - m/p)(1 - 1/p)^(-m), and their rounding weights.
+def _generic_tail(m: int) -> list[tuple[float, float]]:
+    """log terms of G(m) = prod_{p > m} (1 - m/p)(1 - 1/p)^(-m), each with its rounding weight.
 
     One term per prime m < p <= TAIL_START, then one per j of the series
     sum_{j=2}^{64} (m - m^j)/j * P(j) over the primes above it.
     """
-    primes = primes_up_to(TAIL_START)
-    logs, weights = _factors(m, primes[primes > m].astype(np.float64), m)
-    j = np.arange(2, 2 + len(PRIME_ZETA_TAIL), dtype=np.float64)
-    series = (m - float(m) ** j) / j * PRIME_ZETA_TAIL
-    return np.concatenate([logs, series]), np.concatenate([weights, np.abs(series)])
+    factors = [_factor(m, p, m) for p in primes_up_to(TAIL_START) if p > m]
+    series = [(m - float(m) ** j) / j * tail for j, tail in enumerate(PRIME_ZETA_TAIL, start=2)]
+    return factors + [(term, abs(term)) for term in series]
 
 
 def selberg_constant(pattern: Pattern, _unused=None) -> SelbergResult:
     """Evaluate S(H) exactly, to rounding.
 
-    Residue counts are read in one vectorized pass at the primes up to m
-    and at the primes above m that divide a distance, found by factoring
-    the distinct distances with distinct_prime_factors; a distance it
-    cannot factor raises ValueError. Primes up to m enter with their full
-    factor, those above m as log1p((m - nu_p)/(p - m)); the generic
-    product G(m) supplies the rest. The log terms are summed with
-    math.fsum and exponentiated once; a sum past the double range raises
-    ValueError. The second parameter is accepted and ignored, for callers
-    that still pass the prime limit of earlier versions.
+    is_admissible reads the residue counts at the primes up to m first: a
+    covered one makes the pattern inadmissible, and S(H) = 0 is returned
+    before any distance is factored. Then they are read at the primes
+    above m that divide a distance, found by factoring the distinct distances with
+    distinct_prime_factors; a distance it cannot factor raises ValueError.
+    Primes up to m enter with their full factor, those above m as
+    log1p((m - nu_p)/(p - m)); the generic product G(m) supplies the rest.
+    The log terms are summed with math.fsum and exponentiated once; a sum
+    past the double range raises ValueError. The second parameter is
+    accepted and ignored, for callers that still pass the prime limit of
+    earlier versions.
 
     tail_bound = value * expm1(R), where R bounds the rounding error of
     log(value). With u = 2^-53, a log1p argument x is rounded by u|x|,
     which log1p turns into at most u|x|/(1 + x). Since
     |log1p(x)| <= |x|/(1 + x), log1p's own ulp adds at most twice that,
     and the product by m and the difference once. So each factor errs by at
-    most 5u times its weight from _factors, each excess term log1p(y) by
+    most 5u times its weight from _factor, each excess term log1p(y) by
     3u y, and each series term, five roundings of its own size, by 5u times
     its size: 5u W in all, with W the sum of these weights. fsum rounds the
     sum T once, within u|T|, and exp adds at most 2u relative. So
@@ -139,23 +141,21 @@ def selberg_constant(pattern: Pattern, _unused=None) -> SelbergResult:
         # every factor is (1 - 1/p)(1 - 1/p)^(-1) = 1
         return SelbergResult(1.0, 0.0, admissible=True)
 
-    offsets = pattern.offsets
-    distances = {b - a for i, a in enumerate(offsets) for b in offsets[i + 1 :]}
-    dividing = {p for d in distances for p in distinct_prime_factors(d) if p > m}
-    direct = _int_array((*primes_up_to(m).tolist(), *sorted(dividing)))
-    nu = _residue_counts(pattern, direct)
-    if np.any(nu == direct):
+    verdict = is_admissible(pattern)
+    if not verdict.admissible:
         return SelbergResult(0.0, 0.0, admissible=False)
 
-    p = direct.astype(np.float64)
-    small = direct <= m
-    excess = (m - nu[~small]) / (p[~small] - m)
-    terms = [_factors(nu[small], p[small], m), (np.log1p(excess), excess), _generic_tail(m)]
-    total = math.fsum(np.concatenate([logs for logs, _ in terms]))
+    offsets = pattern.offsets
+    distances = {b - a for i, a in enumerate(offsets) for b in offsets[i + 1 :]}
+    dividing = tuple({p for d in distances for p in distinct_prime_factors(d) if p > m})
+    excess = [(m - nu) / (p - m) for p, nu in zip(dividing, _residue_counts(pattern, dividing))]
+    terms = [_factor(nu, p, m) for p, nu in verdict.nu_values.items()] + _generic_tail(m)
+    terms += [(math.log1p(y), y) for y in excess]
+    total = math.fsum(log for log, _ in terms)
     if total > math.log(sys.float_info.max):
         raise ValueError(f"S(H) overflows a double for a pattern of length {m}: log S = {total:.2f}")
     value = math.exp(total)
-    rounding = math.ldexp(sum(float(np.sum(w)) for _, w in terms) + abs(total) + 1.0, -50)
+    rounding = math.ldexp(math.fsum(weight for _, weight in terms) + abs(total) + 1.0, -50)
     return SelbergResult(value, value * math.expm1(rounding), admissible=True)
 
 

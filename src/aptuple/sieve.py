@@ -215,7 +215,7 @@ class _SievePlan:
 def _sieve_plan(limit: int) -> _SievePlan:
     """The plan for a table of 0..limit."""
     root = math.isqrt(limit)
-    primes = primes_up_to(root)[1:]
+    primes = np.array(primes_up_to(root)[1:], dtype=np.int64)
     weights = np.rint(LOG_UNITS * np.log2(primes)).astype(np.int64)
     template = np.zeros(min(WHEEL, (limit + 1) // 2), dtype="<u2")
     rest = []

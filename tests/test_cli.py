@@ -49,7 +49,7 @@ def test_selberg_value(capsys):
 
 def primes_above_500(m: int) -> str:
     """The m smallest primes above 500: an admissible pattern for m <= 501."""
-    return ",".join(map(str, [p for p in primes_up_to(5000).tolist() if p > 500][:m]))
+    return ",".join(map(str, [p for p in primes_up_to(5000) if p > 500][:m]))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from aptuple._primes import primes_up_to
@@ -49,7 +48,7 @@ def test_requirements():
 
 
 def _nu(pattern, primes):
-    return _residue_counts(pattern, np.asarray(primes, dtype=np.int64)).tolist()
+    return _residue_counts(pattern, primes)
 
 
 def test_residues_examples():
@@ -65,9 +64,9 @@ def _brute_nu(pattern, primes):
 
 @pytest.mark.parametrize("width", [60, 2000, 2**63 - 1, 2**63, 2**70])
 def test_residue_counts_match_brute_force(width):
-    # primes up to 3000 reach past every offset of the narrow patterns; offsets
-    # of 2^63 and more are Python integers, the rest fit in int64
-    primes = primes_up_to(3000).tolist()
+    # primes up to 3000 reach past every offset of the narrow patterns; the
+    # widest reach 2^63 and past it
+    primes = list(primes_up_to(3000))
     rng = random.Random(width)
     for _ in range(100):
         m = rng.randrange(2, 12)
@@ -78,10 +77,10 @@ def test_residue_counts_match_brute_force(width):
 
 
 def test_residue_counts_across_chunks():
-    # 16 offsets make chunks of 2^16 primes, so the 78498 primes below 1e6 take two
+    # 16 offsets at every one of the 78498 primes below 1e6
     pattern = Pattern(tuple(random.Random(5).sample(range(0, 10**7, 2), 16)))
     primes = primes_up_to(10**6)
-    assert _nu(pattern, primes) == _brute_nu(pattern, primes.tolist())
+    assert _nu(pattern, primes) == _brute_nu(pattern, list(primes))
 
 
 def test_admissibility_examples():
@@ -123,7 +122,7 @@ def test_admissibility_matches_brute_force():
         covering = _covering_primes(pattern)
         assert verdict.admissible == (not covering), pattern
         assert verdict.witness == max(covering, default=None), pattern
-        small = primes_up_to(len(pattern)).tolist()
+        small = list(primes_up_to(len(pattern)))
         assert verdict.nu_values == dict(zip(small, _brute_nu(pattern, small))), pattern
 
 

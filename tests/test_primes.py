@@ -6,7 +6,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from aptuple._primes import PSI_12, _is_prime, distinct_prime_factors, primes_up_to
+from aptuple._primes import PSI_12, _is_prime, _rho, distinct_prime_factors, primes_up_to
 
 # The smallest strong pseudoprimes to the first 1, ..., 11 prime bases (OEIS A014233);
 # psi_9 = psi_10 = psi_11.
@@ -15,6 +15,7 @@ STRONG_PSEUDOPRIMES = (
     341550071728321, 3825123056546413051,
 )
 SEMIPRIME_63_BIT = 2 * (2**31 - 1) * 2147483629
+PRIMES_TO_1E6 = np.asarray(primes_up_to(10**6))
 
 
 def _no_factor_up_to_1e6(n: int) -> bool:
@@ -22,8 +23,7 @@ def _no_factor_up_to_1e6(n: int) -> bool:
 
     Below 1e12 that makes n prime.
     """
-    primes = primes_up_to(10**6)
-    primes = primes[primes <= isqrt(n)]
+    primes = PRIMES_TO_1E6[PRIMES_TO_1E6 <= isqrt(n)]
     return not np.any(n % primes == 0)
 
 
@@ -42,13 +42,13 @@ def _check_factorization(n: int, factors: tuple[int, ...]) -> None:
 def test_primality_agrees_with_the_sieve():
     limit = 10**6
     flags = np.zeros(limit, dtype=bool)
-    flags[primes_up_to(limit - 1)] = True
+    flags[np.asarray(primes_up_to(limit - 1))] = True
     got = np.array([_is_prime(n) for n in range(limit)])
     assert np.array_equal(got, flags), np.flatnonzero(got != flags)[:10]
 
 
 def test_factors_agree_with_the_sieve_below_1e6():
-    primes = set(primes_up_to(10**6).tolist())
+    primes = set(primes_up_to(10**6))
     rng = random.Random(6)
     for n in rng.sample(range(1, 10**6), 2000):
         factors = distinct_prime_factors(n)
@@ -88,6 +88,25 @@ def test_random_63_bit_numbers():
 ])
 def test_known_factorizations(n, want):
     assert distinct_prime_factors(n) == want
+
+
+@pytest.mark.parametrize("p, q", [
+    (1048583, 1572869),  # the next primes past 2^20 and 3 * 2^19
+    (16777259, 25165843),
+    (268435459, 402653189),
+    (4294967311, 6442450967),
+    (68719476767, 103079215111),
+    (137438953481, 1099511627791),  # past 2^37 and 2^40
+    (564499998971, 564499999997),  # 79 bits, just below psi_12
+])
+def test_semiprimes_split_into_their_two_primes(p, q):
+    assert distinct_prime_factors(p * q) == (p, q)
+
+
+@pytest.mark.parametrize("p, q", [(1009, 1709), (1013, 1109), (1021, 1039)])
+def test_rho_retries_a_walk_that_closes_on_n(p, q):
+    # with c = 1 the walk meets both factors in the same step, even replayed
+    assert _rho(p * q) in (p, q)
 
 
 def test_rejects_nonpositive():

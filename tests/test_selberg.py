@@ -170,7 +170,7 @@ def test_convergence_within_tail_bound(offsets):
 
 def twin_prime_constant_truncated(prime_limit: int) -> float:
     """prod_{2 < p <= P} (1 - 1/(p-1)^2); converges to C2 from above like 1/(P log P)."""
-    primes = primes_up_to(prime_limit).astype(np.float64)
+    primes = np.asarray(primes_up_to(prime_limit), dtype=np.float64)
     primes = primes[primes > 2]
     return float(np.exp(np.sum(np.log1p(-1.0 / (primes - 1.0) ** 2))))
 
@@ -200,13 +200,13 @@ def test_value_zero_iff_inadmissible():
 def _prime_zeta_tail_mp() -> list[mpmath.mpf]:
     """sum_{p > 1000} p^(-j) for j = 2..64 at 260 digits: the full prime zeta less p <= 1000."""
     with mpmath.workdps(260):
-        small = [mpmath.mpf(p) for p in primes_up_to(1000).tolist()]
+        small = [mpmath.mpf(p) for p in primes_up_to(1000)]
         return [mpmath.primezeta(j) - mpmath.fsum(p ** -j for p in small) for j in range(2, 65)]
 
 
 def test_prime_zeta_tail_matches_mpmath():
     assert TAIL_START == 1000 and len(PRIME_ZETA_TAIL) == 63
-    for j, (got, want) in enumerate(zip(PRIME_ZETA_TAIL.tolist(), _prime_zeta_tail_mp()), start=2):
+    for j, (got, want) in enumerate(zip(PRIME_ZETA_TAIL, _prime_zeta_tail_mp()), start=2):
         assert abs(got - want) <= 1e-15 * want, j
 
 
@@ -233,7 +233,7 @@ def _series_mp(pattern: Pattern) -> mpmath.mpf:
     large = {p for d in distances for p in _trial_division_primes(d) if p > 1000}
     with mpmath.workdps(60):
         total = mpmath.mpf(0)
-        for p in primes_up_to(1000).tolist():
+        for p in primes_up_to(1000):
             nu = len({h % p for h in offsets})
             total += mpmath.log(1 - mpmath.mpf(nu) / p) - m * mpmath.log(1 - mpmath.mpf(1) / p)
         for j, tail_j in enumerate(tail, start=2):
@@ -279,7 +279,7 @@ def test_patterns_with_a_large_distance_prime_match_mpmath():
     from aptuple.patterns import is_admissible
 
     rng = random.Random(10**7)
-    primes = primes_up_to(10**7)
+    primes = np.asarray(primes_up_to(10**7))
     primes = primes[primes > 1000].tolist()
     cases = 0
     while cases < 40:
@@ -384,7 +384,7 @@ def test_distances_past_psi_12_are_refused():
 
 def test_values_past_the_double_range_are_refused():
     # the 420 primes above 500 form an admissible pattern with log S near 738
-    offsets = [p for p in primes_up_to(5000).tolist() if p > 500][:420]
+    offsets = [p for p in primes_up_to(5000) if p > 500][:420]
     with pytest.raises(ValueError, match="length 420"):
         selberg_constant(Pattern(offsets))
 

@@ -1,8 +1,8 @@
 """Start-up contract, each case in a fresh interpreter.
 
 `import aptuple` loads nothing and changes nothing; a CLI command loads only
-the layers it runs; CLI processes skip the OpenBLAS thread pool unless the
-user asked for one.
+the layers it runs, and the light ones load no numpy; CLI processes skip the
+OpenBLAS thread pool unless the user asked for one.
 """
 
 import json
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import aptuple
+from aptuple._primes import primes_up_to
 
 SRC = Path(aptuple.__file__).resolve().parents[1]
 
@@ -77,6 +78,7 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("argv", [
     ["selberg", "--pattern", "0,2,6,8,12", "--prime-limit", "1e5"],
     ["predict", "--pattern", "0,2", "--k", "1,2", "--x", "1e7"],
+    ["admissible", "--pattern", "0,2,4,6,8"],
 ])
 def test_command_loads_only_its_layers(argv):
     got = fresh(
@@ -87,22 +89,56 @@ def test_command_loads_only_its_layers(argv):
         "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
     )
     assert got["code"] == 0
-    assert "aptuple.selberg" in got["modules"]
+    assert "aptuple.patterns" in got["modules"]
+    assert ("aptuple.selberg" in got["modules"]) == (argv[0] != "admissible")
     assert "aptuple.census" not in got["modules"]
     assert "aptuple.calibration" not in got["modules"]
+    assert "aptuple.sieve" not in got["modules"]
+    assert "numpy" not in got["modules"]
 
 
 @pytest.mark.parametrize("preset, want", [(None, "1"), ("4", "4")])
-def test_cli_sets_blas_threads_only_by_default(preset, want):
+def test_cli_sets_blas_threads_only_by_default(preset, want, tmp_path):
+    # the setting precedes numpy, which only a command that needs it imports
     env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    argv = ["count", "--pattern", "0,2", "--k", "1,1", "--x", "1000", "--cache", str(tmp_path)]
     got = fresh(
-        "import json, os, sys\n"
+        "import contextlib, io, json, os, sys\n"
+        "def state():\n"
+        "    return {'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+        "            'numpy': 'numpy' in sys.modules}\n"
         "from aptuple import cli\n"
-        "print(json.dumps({'blas': os.environ.get('OPENBLAS_NUM_THREADS'),\n"
-        "    'numpy': 'numpy' in sys.modules}))\n",
+        "imported = state()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(json.dumps({'imported': imported, 'code': code, 'counted': state()}))\n",
         **env,
     )
-    assert got == {"blas": want, "numpy": True}
+    assert got == {"imported": {"blas": want, "numpy": False}, "code": 0,
+                   "counted": {"blas": want, "numpy": True}}
+
+
+@pytest.mark.parametrize("argv, error, message", [
+    # the 420 primes above 500 put the series at e^738, past the double range
+    (["selberg", "--pattern", ",".join(map(str, [p for p in primes_up_to(5000) if p > 500][:420]))],
+     "ValueError", "length 420"),
+    (["count", "--pattern", "0,2", "--k", "1,1", "--x", "1000"], "CacheFormatError", "omega.bin"),
+])
+def test_errors_exit_1_with_or_without_the_sieve_loaded(tmp_path, argv, error, message):
+    (tmp_path / "omega.bin").write_bytes(b"garbage")
+    got = fresh(
+        "import contextlib, io, json, sys\n"
+        "from aptuple import cli\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'out': out.getvalue(), 'err': json.loads(err.getvalue()),\n"
+        "    'sieve': 'aptuple.sieve' in sys.modules}))\n",
+        APTUPLE_CACHE=str(tmp_path),
+    )
+    assert got["code"] == 1 and got["out"] == ""
+    assert got["err"]["error"] == error and message in got["err"]["message"]
+    assert got["sieve"] == (argv[0] == "count")
 
 
 def test_single_worker_sieve_starts_no_pool(tmp_path):
