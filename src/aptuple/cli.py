@@ -125,7 +125,7 @@ def _cache_file(cache_dir: str | Path | None) -> Path:
 
 
 def ensure_table(
-    min_limit: int, cache_dir: str | Path | None, workers: int = 1
+    min_limit: int, cache_dir: str | Path | None
 ) -> tuple[OmegaTable, Path, bool]:
     """Load the cached table if it covers min_limit, else rebuild and persist.
 
@@ -147,7 +147,7 @@ def ensure_table(
         if table.limit >= min_limit:
             return table, path, False
         cached_limit = table.limit
-    write_omega_table(_cache_limit(min_limit, cached_limit), path, workers=workers)
+    write_omega_table(_cache_limit(min_limit, cached_limit), path)
     return load_table(path), path, True
 
 
@@ -157,7 +157,7 @@ def _cmd_sieve(args) -> int:
     path = Path(args.out) if args.out else _cache_file(args.cache)
     segment_size = args.segment_size or DEFAULT_SEGMENT_SIZE
     started = time.perf_counter()
-    rename_s = write_omega_table(args.limit, path, segment_size=segment_size, workers=args.workers)
+    rename_s = write_omega_table(args.limit, path, segment_size=segment_size)
     elapsed = time.perf_counter() - started
     _emit_json(
         {
@@ -244,7 +244,7 @@ def _require_table(args, x: int, patterns) -> tuple[OmegaTable, dict]:
 
     min_limit = _needed_limit(x, patterns)
     started = time.perf_counter()
-    table, path, rebuilt = ensure_table(min_limit, args.cache, workers=args.workers)
+    table, path, rebuilt = ensure_table(min_limit, args.cache)
     load_s = time.perf_counter() - started
     return table, {"path": str(path), "limit": table.limit, "rebuilt": rebuilt, "load_s": load_s}
 
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_cache_flags(p):
         p.add_argument("--cache", default=None, help=f"cache directory (default ${CACHE_ENV} or ~/.cache/aptuple)")
         p.add_argument("--workers", type=_parse_workers, default=1,
-                       help="threads for sieving and census scans; README has measured speed-ups")
+                       help="threads for census scans; no effect on sieve, which runs on one thread")
 
     p = sub.add_parser("sieve", help="build and persist a factor-count table")
     p.add_argument("--limit", type=_parse_bound, required=True)

@@ -27,7 +27,7 @@ entries, a dense power (256 q < S) is one strided add. A sparse power
 (256 q >= S) has at most 256 odd multiples in the segment, and all of
 them go through one scatter: np.repeat and one cumsum list the hits of
 every sparse power, and np.add.at adds their credits, in calls of about
-SCATTER_CHUNK = 2^14 hits, so the index temporaries stay near 0.2 MB.
+SCATTER_CHUNK = 2^13 hits, so the index temporaries stay near 0.1 MB.
 add.at adds twice where two powers of one prime share an n, and a power
 with no multiple in the segment adds nothing, so the table is the same
 for any cut; the cut only sets the speed. A strided add costs a
@@ -99,10 +99,8 @@ ordered stream of finished blocks. build_omega_table copies them into
 memory and reads each chunk's halves straight from its own values;
 write_omega_table appends them to the cache file and reads each chunk's
 halves back from the bytes it has written, into one buffer of
-FINISH_CHUNK bytes, so it holds O(segment) memory at any limit. With
-more than one worker, threads sieve the packed buffers of the next spans
-while the calling thread completes and writes them in order, and at most
-`workers` spans are in flight.
+FINISH_CHUNK bytes, so it holds O(segment) memory at any limit. Spans are
+sieved in order on the calling thread, in one reused buffer.
 
 A cache file is a 13-byte header followed by the values. Both writers,
 save_table and write_omega_table, go through _publish: it fails with ENOSPC
@@ -134,7 +132,6 @@ import os
 import struct
 import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -181,7 +178,7 @@ LOG_UNITS = 7  # accumulator units per bit of log2 n
 LIMIT_BOUND = 1 << 34  # limits must stay below this for the 8-bit log accumulator
 WHEEL = 3**2 * 5 * 7 * 11 * 13  # period, in odd indices, of the sieve template
 SPARSE_HITS = 256  # a power with at most this many odd multiples per segment is scattered
-SCATTER_CHUNK = 1 << 14  # hits per np.add.at call of the scatter
+SCATTER_CHUNK = 1 << 13  # hits per np.add.at call of the scatter
 FINISH_CHUNK = 1 << 18  # entries per halves request when a span's low bytes are finished
 _DONTNEED = getattr(mmap, "MADV_DONTNEED", None)  # None where mmap has no madvise
 
@@ -297,7 +294,7 @@ def _scatter(packed: np.ndarray, firsts: np.ndarray, powers: np.ndarray,
         a = b
 
 
-def _check_build(limit: int, segment_size: int, workers: int) -> None:
+def _check_build(limit: int, segment_size: int) -> None:
     """Reject build arguments out of range."""
     if limit < 2:
         raise ValueError(f"need limit >= 2, got {limit}")
@@ -307,8 +304,6 @@ def _check_build(limit: int, segment_size: int, workers: int) -> None:
         )
     if segment_size < 2:
         raise ValueError(f"need segment_size >= 2, got {segment_size}")
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
 
 
 def _available_memory() -> int | None:
@@ -323,42 +318,22 @@ def _available_memory() -> int | None:
     return None
 
 
-def _packed_segments(spans: list[tuple[int, int]], length: int, plan: _SievePlan,
-                     workers: int):
-    """Yield the packed buffer of each span in order, with at most `workers` in flight.
+def _spans(limit: int, segment_size: int) -> list[tuple[int, int]]:
+    """The spans [lo, hi) that cover 0..limit, in the order they are sieved.
 
-    The spans share `workers` buffers of length entries, so a yielded
-    buffer is overwritten once the next one is asked for.
+    [0, 2), then spans doubling in length up to segment_size (rounded down
+    to even), then spans of that length, the last cut at limit + 1; so
+    every span [lo, hi) after the first has hi <= 2 lo.
     """
-    buffers = [np.empty(length, dtype="<u2") for _ in range(min(workers, len(spans)))]
-
-    def sieve(i: int) -> np.ndarray:
-        lo, hi = spans[i]
-        return _segment_omega(lo, hi, plan, buffers[i % len(buffers)][: (hi - lo + 1) // 2])
-
-    if workers == 1:
-        for i in range(len(spans)):
-            yield sieve(i)
-        return
-    # imported here: loading concurrent.futures (and logging with it)
-    # costs a process about 10 ms
-    from concurrent.futures import ThreadPoolExecutor
-
-    # Executor.map would submit every span at once; here span i + workers
-    # is submitted only once span i's buffer has been consumed
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        pending = deque(pool.submit(sieve, i) for i in range(len(buffers)))
-        for i in range(len(buffers), len(spans)):
-            yield pending.popleft().result()
-            pending.append(pool.submit(sieve, i))
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    step = segment_size & ~1
+    spans = [(0, 2)]
+    while spans[-1][1] <= limit:
+        lo = spans[-1][1]
+        spans.append((lo, min(lo + min(lo, step), limit + 1)))
+    return spans
 
 
-def _omega_blocks(limit: int, segment_size: int, workers: int, halves):
+def _omega_blocks(limit: int, segment_size: int, halves):
     """Yield values[lo:hi] of the table for consecutive spans, as uint8 arrays.
 
     halves(a, n) returns values[a : a + n] as a uint8 array, valid until it
@@ -367,16 +342,11 @@ def _omega_blocks(limit: int, segment_size: int, workers: int, halves):
     before. A yielded block is a view of a reused buffer, valid until the
     next one is asked for.
     """
-    step = segment_size & ~1
-    # [0, 2), then spans doubling in length up to step, then spans of step,
-    # so every span [lo, hi) after the first has hi <= 2 lo
-    spans = [(0, 2)]
-    while spans[-1][1] <= limit:
-        lo = spans[-1][1]
-        spans.append((lo, min(lo + min(lo, step), limit + 1)))
-    length = max((hi - lo + 1) // 2 for lo, hi in spans)
-    for (lo, hi), packed in zip(spans, _packed_segments(spans, length, _sieve_plan(limit),
-                                                         workers)):
+    spans = _spans(limit, segment_size)
+    plan = _sieve_plan(limit)
+    buffer = np.empty(max((hi - lo + 1) // 2 for lo, hi in spans), dtype="<u2")
+    for lo, hi in spans:
+        packed = _segment_omega(lo, hi, plan, buffer[: (hi - lo + 1) // 2])
         # the cleared low byte of [0, 2) is Omega(0) = 0; every later low byte
         # of entry i is Omega(lo + 2i) = Omega(lo/2 + i) + 1
         for c in range(0, len(packed), FINISH_CHUNK):
@@ -391,7 +361,7 @@ def _omega_blocks(limit: int, segment_size: int, workers: int, halves):
 def build_omega_table(
     limit: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
+    workers=None,
 ) -> OmegaTable:
     """Build the table of Omega(n), with multiplicity, for 0..limit by segmented sieving.
 
@@ -404,10 +374,9 @@ def build_omega_table(
         Numbers processed per segment, rounded down to even; affects memory
         and speed only, never the result. DEFAULT_SEGMENT_SIZE (2^21) by
         default, at every limit.
-    workers : int
-        Threads that sieve segments ahead of the calling thread, which
-        completes them in order (one worker sieves in the calling thread).
-        The table is identical for any worker count.
+    workers
+        Accepted and ignored, for callers that still pass the worker count
+        of earlier versions: the sieve runs on the calling thread.
 
     Raises
     ------
@@ -418,7 +387,7 @@ def build_omega_table(
         (checked only where that file can be read), or if the table cannot
         be allocated; no partial table is returned.
     """
-    _check_build(limit, segment_size, workers)
+    _check_build(limit, segment_size)
     available = _available_memory()
     if available is not None and limit + 1 > available:
         raise MemoryError(f"a table of limit {limit} needs {limit + 1} bytes, "
@@ -430,7 +399,7 @@ def build_omega_table(
     def halves(a: int, n: int) -> np.ndarray:
         return values[a : a + n]
 
-    for block in _omega_blocks(limit, segment_size, workers, halves):
+    for block in _omega_blocks(limit, segment_size, halves):
         values[lo : lo + len(block)] = block
         lo += len(block)
     values.flags.writeable = False
@@ -495,7 +464,6 @@ def write_omega_table(
     limit: int,
     path: str | Path,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    workers: int = 1,
 ) -> float:
     """Sieve the table of 0..limit straight into a cache file at path.
 
@@ -516,7 +484,7 @@ def write_omega_table(
         checked before anything is written; any error writing the file.
         No temporary file is left behind, and path is left as it was.
     """
-    _check_build(limit, segment_size, workers)
+    _check_build(limit, segment_size)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
 
     def write(fd: int) -> None:
@@ -527,7 +495,7 @@ def write_omega_table(
             _read_into(fd, buf[:n], HEADER_SIZE + a)
             return buf[:n]
 
-        for block in _omega_blocks(limit, segment_size, workers, halves):
+        for block in _omega_blocks(limit, segment_size, halves):
             _write_all(fd, block)
 
     return _publish(Path(path), HEADER_SIZE + limit + 1, write)

@@ -396,18 +396,6 @@ def test_wide_patterns_with_small_prime_distances_are_exact():
     assert abs(value - _series_mp(pattern)) <= 1e-12 * value
 
 
-def test_values_do_not_depend_on_call_order():
-    patterns = [Pattern(offsets) for offsets in ((0, 2), (0, 2, 6), (0, 4, 6, 10), (0, 2, 6, 8, 12))]
-    runs = []
-    for limits in ((10**4, 10**5), (10**5, 10**4)):
-        values = {}
-        for limit in limits:
-            for pattern in patterns:
-                values[pattern, limit] = selberg_constant(pattern, limit).value
-        runs.append(values)
-    assert runs[0] == runs[1]
-
-
 def test_huge_prime_limit_is_ignored(monkeypatch):
     calls = []
 

@@ -186,8 +186,6 @@ def test_build_argument_errors():
         ap.build_omega_table(1)
     with pytest.raises(ValueError):
         ap.build_omega_table(100, segment_size=1)
-    with pytest.raises(ValueError):
-        ap.build_omega_table(100, workers=0)
     # outside the proven range of the log accumulator; rejected before allocating
     with pytest.raises(ValueError):
         ap.build_omega_table(2**34)
@@ -201,8 +199,6 @@ def test_build_checks_available_memory(monkeypatch):
     # argument errors, the 2^34 bound among them, still come first
     with pytest.raises(ValueError):
         ap.build_omega_table(2**34)
-    with pytest.raises(ValueError):
-        ap.build_omega_table(10**5, workers=0)
     # where /proc/meminfo cannot be read there is no check
     monkeypatch.setattr(sieve, "_available_memory", lambda: None)
     assert ap.build_omega_table(10**5).limit == 10**5
@@ -445,20 +441,25 @@ def test_replaced_file_leaves_earlier_load_intact(tmp_path):
     assert ap.load_table(path).limit == 20_000
 
 
-def _saved_bytes(path, limit):
-    """The cache file save_table writes for the in-memory table of limit."""
-    ap.save_table(ap.build_omega_table(limit), path)
+def _saved_bytes(path, limit, workers=None):
+    """The cache file save_table writes for the in-memory table of limit.
+
+    workers goes to build_omega_table, which accepts and ignores it.
+    """
+    ap.save_table(ap.build_omega_table(limit, workers=workers), path)
     return path.read_bytes()
 
 
+# the stream is checked against in-memory builds that pass the ignored
+# worker counts 1, 2 and 3, which must not change a byte
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_streamed_file_equals_saved_table_small(tmp_path, workers):
     for limit in [*range(2, 61), 99, 100, 101]:
-        want = _saved_bytes(tmp_path / "saved.bin", limit)
+        want = _saved_bytes(tmp_path / "saved.bin", limit, workers)
         for segment_size in (2, 3, 999, None):  # None: the default segment size
             path = tmp_path / "streamed.bin"
             sized = {} if segment_size is None else {"segment_size": segment_size}
-            ap.write_omega_table(limit, path, workers=workers, **sized)
+            ap.write_omega_table(limit, path, **sized)
             assert path.read_bytes() == want, (limit, segment_size)
 
 
@@ -469,35 +470,32 @@ def test_streamed_file_equals_saved_table_small(tmp_path, workers):
 def test_streamed_file_equals_saved_table(tmp_path, limit, segment_size, workers):
     path = tmp_path / "streamed.bin"
     sized = {} if segment_size is None else {"segment_size": segment_size}
-    ap.write_omega_table(limit, path, workers=workers, **sized)
-    assert path.read_bytes() == _saved_bytes(tmp_path / "saved.bin", limit)
+    ap.write_omega_table(limit, path, **sized)
+    assert path.read_bytes() == _saved_bytes(tmp_path / "saved.bin", limit, workers)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pinned_hash_through_the_writer(tmp_path, workers):
+def test_pinned_hash_through_the_writer(tmp_path):
     path = tmp_path / "omega.bin"
-    ap.write_omega_table(10**7, path, workers=workers)
+    ap.write_omega_table(10**7, path)
     assert hashlib.sha256(ap.load_table(path).values).hexdigest() == PINNED_1E7
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_streamed_build_holds_segments_not_the_table(tmp_path, workers):
-    # the 32 MiB table in 16 segments of 2^21: `workers` segment buffers of
-    # 2 MiB, the plan's one-period template (88 KiB), the 256 KiB buffer the
-    # halves are read into and each worker's scatter chunk (0.2 MiB), never
-    # the table; measured 2.6 MiB with 1 worker and 4.7 MiB with 2
+def test_streamed_build_holds_segments_not_the_table(tmp_path):
+    # the 32 MiB table in 16 segments of 2^21: one segment buffer of 2 MiB,
+    # the plan's one-period template (88 KiB), the 256 KiB buffer the halves
+    # are read into and the scatter chunk (0.1 MiB), never the table;
+    # measured 2.6 MiB
     tracemalloc.start()
     try:
-        ap.write_omega_table(2**25, tmp_path / "omega.bin", workers=workers)
+        ap.write_omega_table(2**25, tmp_path / "omega.bin")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (1 + 2 * workers) * 2**20
+    assert peak < 3 * 2**20
     assert (tmp_path / "omega.bin").stat().st_size == 2**25 + 14
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_failed_stream_leaves_cache_intact(tmp_path, monkeypatch, workers):
+def test_failed_stream_leaves_cache_intact(tmp_path, monkeypatch):
     path = tmp_path / "omega.bin"
     before = _saved_bytes(path, 10_000)
     sieve_segment = sieve._segment_omega
@@ -509,7 +507,7 @@ def test_failed_stream_leaves_cache_intact(tmp_path, monkeypatch, workers):
 
     monkeypatch.setattr(sieve, "_segment_omega", failing)
     with pytest.raises(RuntimeError, match="segment failed"):
-        ap.write_omega_table(100_000, path, segment_size=1_000, workers=workers)
+        ap.write_omega_table(100_000, path, segment_size=1_000)
     assert [p.name for p in tmp_path.iterdir()] == ["omega.bin"]
     assert path.read_bytes() == before
 
@@ -557,8 +555,7 @@ def test_stream_fails_early_on_a_full_disk(tmp_path, monkeypatch):
 
 
 def test_stream_argument_errors_write_nothing(tmp_path):
-    for kwargs in ({"limit": 1}, {"limit": 2**34}, {"limit": 100, "segment_size": 1},
-                   {"limit": 100, "workers": 0}):
+    for kwargs in ({"limit": 1}, {"limit": 2**34}, {"limit": 100, "segment_size": 1}):
         with pytest.raises(ValueError):
             ap.write_omega_table(path=tmp_path / "omega.bin", **kwargs)
     assert list(tmp_path.iterdir()) == []
@@ -573,10 +570,12 @@ def test_default_segment_is_one_size_for_every_limit(tmp_path, monkeypatch, limi
     class Spans(Exception):
         pass
 
-    def record(spans, length, plan, workers):
-        raise Spans(spans)
+    spans = sieve._spans
 
-    monkeypatch.setattr(sieve, "_packed_segments", record)
+    def record(limit, segment_size):
+        raise Spans(spans(limit, segment_size))
+
+    monkeypatch.setattr(sieve, "_spans", record)
     roomy = SimpleNamespace(f_bavail=1 << 40, f_frsize=1)
     monkeypatch.setattr(sieve.os, "statvfs", lambda path: roomy)
     with pytest.raises(Spans) as info:
@@ -633,7 +632,7 @@ def test_halves_come_from_finished_blocks(monkeypatch, segment_size, top):
             assert a + n <= made and n <= sieve.FINISH_CHUNK, (limit, a, n, made)
             return np.zeros(n, dtype=np.uint8)
 
-        for block in sieve._omega_blocks(limit, segment_size, 1, halves):
+        for block in sieve._omega_blocks(limit, segment_size, halves):
             made += len(block)
         assert made == limit + 1
 
